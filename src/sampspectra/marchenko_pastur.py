@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError
 from .moments import moment_limit
@@ -94,8 +93,11 @@ def mp_expectation(g, beta: float, tolerance: float = 1e-10) -> float:
 
     Substituting x = c2 + (c1 - c2) sin^2(t) removes the square-root
     endpoint singularities (and the 1/x pole at beta = 1), leaving a smooth
-    integrand on [0, pi/2] for adaptive quadrature.
+    integrand on [0, pi/2] for adaptive quadrature. scipy is imported here,
+    not at module level, so that the command line never pays for it.
     """
+    from scipy.integrate import quad
+
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     params = MPParams(beta)

@@ -235,7 +235,7 @@ def test_criterion_08_simulation_scale_error_prediction():
 def test_criterion_09_reconstruction_error_consistency():
     instance = instance_for(1, 10, 0.5, SEED)
     G = build_G(instance)
-    sample = hermitian_eigenvalues(build_T(instance, G=G), instance)
+    sample = hermitian_eigenvalues(build_T(instance), instance)
     alpha = 10 ** (-10 / 10)
     predicted = empirical_lmmse(sample, alpha)
     errors = [

@@ -231,3 +231,15 @@ class TestDeterminism:
             result = run_cli(*base, "--threads", threads, "--out", str(path))
             assert result.returncode == 0, result.stderr
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is needed only by mp_expectation, which no subcommand calls.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sampspectra.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

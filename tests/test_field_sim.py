@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from sampspectra.errors import CapacityError, IntegrityError
 from sampspectra.field_sim import (
     FieldRealization,
     SamplingInstance,
+    _gram_bytes,
     build_G,
     build_T,
     collect_spectra,
@@ -130,9 +133,37 @@ class TestSynthesisMatrix:
                     direct = np.mean(np.exp(-2j * np.pi * (instance.X @ diff)))
                     assert abs(T[i, j] - direct) < 1e-12
 
+    @pytest.mark.parametrize("d, M", [(1, 7), (2, 3), (3, 2), (4, 1)])
+    def test_toeplitz_assembly_matches_gram_product(self, d, M):
+        instance = instance_for(d, M, 0.5, (19, d, M))
+        G = build_G(instance)
+        expected = instance.beta * (G @ G.conj().T)
+        np.fill_diagonal(expected, 1.0)
+        T = build_T(instance)
+        assert (np.diag(T) == 1.0).all()
+        assert np.max(np.abs(T - expected)) <= 1e-12
+
     def test_memory_budget_enforced(self):
         with pytest.raises(CapacityError):
             build_G(instance_for(1, 200, 0.5, 0), max_bytes=10_000)
+        with pytest.raises(CapacityError):
+            build_T(instance_for(1, 200, 0.5, 0), max_bytes=10_000)
+
+    @pytest.mark.parametrize("d, M", [(1, 30), (2, 6), (3, 2), (4, 1)])
+    def test_budget_covers_measured_working_set(self, d, M):
+        # The counted bytes bound what build_T really allocates, up to the
+        # fixed-size buffers numpy's ufuncs use for casts and broadcasts.
+        instance = instance_for(d, M, 0.5, 3)
+        counted = _gram_bytes(d, M, instance.r)
+        tracemalloc.start()
+        try:
+            build_T(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted / 2 <= peak <= counted + 2**19
+        with pytest.raises(CapacityError):
+            build_T(instance, max_bytes=counted - 1)
 
 
 class TestSpectra:
@@ -173,6 +204,65 @@ class TestSpectra:
         assert empirical_lmmse(sample, 1e9) == pytest.approx(1.0, abs=1e-6)
         with pytest.raises(ValueError):
             empirical_lmmse(sample, -0.5)
+
+
+class TestSpectrumChecks:
+    """A corrupted eigensolver result must fail a check that needs no
+    eigenvectors: the trace or the Frobenius identity."""
+
+    @pytest.fixture
+    def case(self):
+        instance = instance_for(2, 2, 0.5, 5)
+        T = build_T(instance)
+        return instance, T, np.linalg.eigvalsh(T)
+
+    @staticmethod
+    def solver_returns(monkeypatch, eigenvalues):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda _: eigenvalues)
+
+    def test_unpatched_spectrum_passes(self, case):
+        instance, T, lam = case
+        sample = hermitian_eigenvalues(T, instance)
+        assert np.allclose(sample.eigenvalues, lam, atol=1e-14)
+
+    def test_single_shift_fails_trace(self, case, monkeypatch):
+        instance, T, lam = case
+        bad = lam.copy()
+        bad[-1] += 1e-6
+        self.solver_returns(monkeypatch, bad)
+        with pytest.raises(IntegrityError, match="disagrees with trace"):
+            hermitian_eigenvalues(T, instance)
+
+    def test_trace_preserving_pair_shift_fails_frobenius(self, case, monkeypatch):
+        instance, T, lam = case
+        bad = lam.copy()
+        bad[len(bad) // 2] -= 1e-4
+        bad[-1] += 1e-4
+        assert abs(bad.sum() - lam.sum()) < 1e-12
+        self.solver_returns(monkeypatch, bad)
+        with pytest.raises(IntegrityError, match="Frobenius"):
+            hermitian_eigenvalues(T, instance)
+
+    def test_spectrum_of_nudged_matrix_fails_frobenius(self, case, monkeypatch):
+        # Hermitian and with the same diagonal, so its spectrum keeps the
+        # trace of T; only the sum of squares can tell the two apart.
+        instance, T, _ = case
+        nudged = T.copy()
+        step = 1e-3 * T[0, 1] / abs(T[0, 1])
+        nudged[0, 1] += step
+        nudged[1, 0] += np.conj(step)
+        self.solver_returns(monkeypatch, np.linalg.eigvalsh(nudged))
+        with pytest.raises(IntegrityError, match="Frobenius"):
+            hermitian_eigenvalues(T, instance)
+
+    def test_eigenvalue_below_clamp_floor(self):
+        # A Hermitian unit-diagonal matrix that no Gram matrix can be: its
+        # lowest eigenvalue is 1 - sqrt(2). Trace and Frobenius identities
+        # hold, so only the clamp floor rejects it.
+        instance = SamplingInstance(d=1, M=1, r=4, beta=0.75, X=np.zeros((4, 1)), seed=0)
+        T = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=complex)
+        with pytest.raises(IntegrityError, match="clamping floor"):
+            hermitian_eigenvalues(T, instance)
 
 
 class TestCollect:
@@ -224,7 +314,7 @@ class TestReconstruction:
         # the solver equals the eigenvalue trace form of the same instance.
         instance = instance_for(1, 6, 0.5, 8)
         G = build_G(instance)
-        sample = hermitian_eigenvalues(build_T(instance, G=G), instance)
+        sample = hermitian_eigenvalues(build_T(instance), instance)
         alpha = 0.2
         predicted = empirical_lmmse(sample, alpha)
         draws = [
