@@ -34,9 +34,7 @@ import numpy as np
 
 from .combinatorics import PartitionPath, reduction_trace
 from .errors import CapacityError, IntegrityError
-from .field_sim import (
-    _check_budget, collect_spectra, empirical_lmmse, estimate_bytes,
-)
+from .field_sim import check_trial_budget, collect_spectra, empirical_lmmse
 from .marchenko_pastur import MPParams, mp_lmmse, mp_moment, mp_pdf
 from .moments import moment_eval, moment_expansion, moment_limit, symbolic_expansion
 from .volumes import volume_exact, volume_quadrature
@@ -225,8 +223,8 @@ def cmd_mse(args):
     # Reject any over-budget combination before the first trial runs.
     for d in args.d:
         for beta in args.beta:
-            _check_budget(estimate_bytes(d, args.M, beta), args.max_mem,
-                          f"mse at d={d}, M={args.M}")
+            check_trial_budget(d, args.M, beta, args.trials, args.threads,
+                               args.max_mem)
     config = {
         "command": "mse", "d": args.d, "M": args.M, "beta": args.beta,
         "snr_db": snrs, "trials": args.trials, "seed": args.seed,

@@ -33,6 +33,7 @@ _HERMITIAN_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
 _CLAMP_PER_N = 1e-10
 _TRACE_RTOL = 1e-10
+_HERMITIAN_BLOCK = 64
 
 
 def rng_for(seed, *stream) -> np.random.Generator:
@@ -56,47 +57,8 @@ def _resolve_budget(max_bytes):
 # --- index bookkeeping -------------------------------------------------------
 
 
-def nu_index(ell, M: int) -> int:
-    """Flatten a frequency vector to its signed scalar index.
-
-    nu(ell) = sum_m (2M+1)^(m-1) ell_m maps [-M..M]^d bijectively onto
-    [-(N-1)/2, (N-1)/2]. Array storage offsets this by (N-1)/2; see
-    :func:`nu_array_index`.
-    """
-    width = 2 * M + 1
-    nu = 0
-    scale = 1
-    for component in ell:
-        component = int(component)
-        if abs(component) > M:
-            raise ValueError(f"component {component} outside [-{M}, {M}]")
-        nu += scale * component
-        scale *= width
-    return nu
-
-
-def nu_array_index(ell, M: int) -> int:
-    """Row index of ``ell`` in array storage: nu(ell) + (N-1)/2."""
-    d = len(ell)
-    return nu_index(ell, M) + ((2 * M + 1) ** d - 1) // 2
-
-
-def nu_inverse(nu: int, M: int, d: int) -> tuple:
-    """Frequency vector with the given signed index."""
-    width = 2 * M + 1
-    half = (width**d - 1) // 2
-    if not -half <= nu <= half:
-        raise ValueError(f"index {nu} outside [-{half}, {half}]")
-    digits = []
-    a = nu + half
-    for _ in range(d):
-        a, digit = divmod(a, width)
-        digits.append(digit - M)
-    return tuple(digits)
-
-
 def frequency_grid(M: int, d: int) -> np.ndarray:
-    """All N frequency vectors, row-ordered by array index."""
+    """All N frequency vectors; row i holds the ell with nu(ell) = i - (N-1)/2."""
     width = 2 * M + 1
     n = width**d
     a = np.arange(n)
@@ -195,13 +157,14 @@ def _gram_bytes(d: int, M: int, r: int) -> int:
 def estimate_bytes(d: int, M: int, beta: float) -> int:
     """Rough working-set size of one trial at these parameters.
 
-    The larger of :func:`build_T`'s peak and the verified eigensolve's 48 N^2
-    bytes: T with the Hermiticity check's two temporaries, or with the
-    eigensolver's copy of T.
+    The larger of :func:`build_T`'s peak and the verified eigensolve's 32 N^2
+    bytes: T and the copy of it that ``eigvalsh`` makes inside numpy's
+    linalg extension. That copy is allocated outside numpy's array
+    allocator, so tracemalloc does not see it.
     """
     n_coeff = (2 * M + 1) ** d
     r = max(round(n_coeff / beta), n_coeff + 1)
-    return max(_gram_bytes(d, M, r), 48 * n_coeff**2)
+    return max(_gram_bytes(d, M, r), 32 * n_coeff**2)
 
 
 def _check_budget(required, max_bytes, what):
@@ -211,6 +174,18 @@ def _check_budget(required, max_bytes, what):
             f"{what} needs about {required} bytes, over the budget {budget} "
             f"(raise it via {MEMORY_ENV_VAR} or max_bytes)"
         )
+
+
+def check_trial_budget(d: int, M: int, beta: float, trials: int, threads: int = 1,
+                       max_bytes=None):
+    """Raise CapacityError unless the trials that run at once fit the budget.
+
+    ``threads`` workers run min(threads, trials) trials concurrently, each
+    with the working set of :func:`estimate_bytes`.
+    """
+    concurrent = max(1, min(threads, trials))
+    _check_budget(concurrent * estimate_bytes(d, M, beta), max_bytes,
+                  f"{concurrent} concurrent trial(s) at d={d}, M={M}, beta={beta}")
 
 
 # --- matrices and spectra -----------------------------------------------------
@@ -279,7 +254,11 @@ def hermitian_eigenvalues(T: np.ndarray, instance: SamplingInstance) -> Spectrum
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError(f"T must be square, got {T.shape}")
-    deviation = np.max(np.abs(T - T.conj().T))
+    # Row blocks keep the temporaries at a few rows of T, not two copies.
+    deviation = 0.0
+    for s in range(0, n, _HERMITIAN_BLOCK):
+        e = s + _HERMITIAN_BLOCK
+        deviation = max(deviation, np.max(np.abs(T[s:e] - T[:, s:e].conj().T)))
     if deviation > _HERMITIAN_TOL:
         raise IntegrityError(f"input is non-Hermitian (max deviation {deviation})")
     eigenvalues = np.linalg.eigvalsh(T)
@@ -316,13 +295,6 @@ def hermitian_eigenvalues(T: np.ndarray, instance: SamplingInstance) -> Spectrum
 
 def _seed_entropy(seed):
     return seed if isinstance(seed, (tuple, list)) else (int(seed),)
-
-
-def empirical_moment(sample: SpectrumSample, p: int) -> float:
-    """Mean of the p-th power of the sampled eigenvalues."""
-    if p < 1:
-        raise ValueError(f"order must be at least 1, got {p}")
-    return float(np.mean(sample.eigenvalues**p))
 
 
 def empirical_lmmse(sample: SpectrumSample, alpha: float) -> float:
@@ -362,15 +334,17 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     """LMMSE estimate of the coefficients from the noisy samples.
 
     Solves (G G* + alpha I) a_hat = G p and returns (a_hat, mse) with
-    mse = ||a_hat - a||^2 / N for this single draw. Requires alpha > 0 so
-    the normal matrix stays positive definite.
+    mse = ||a_hat - a||^2 / N for this single draw. The normal matrix is
+    T / beta + alpha I, with T from :func:`build_T` and its budget check.
+    Requires alpha > 0 so the normal matrix stays positive definite.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if G is None:
         G = build_G(instance)
     n_coeff = G.shape[0]
-    A = G @ G.conj().T
+    A = build_T(instance)
+    A /= instance.beta
     A[np.diag_indices_from(A)] += alpha
     b = G @ realization.p
     a_hat = np.linalg.solve(A, b)
@@ -382,24 +356,6 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
         raise IntegrityError(f"solver residual {residual} exceeds {allowed}")
     mse = float(np.linalg.norm(a_hat - realization.a) ** 2 / n_coeff)
     return a_hat, mse
-
-
-def synthesize_field_value(a: np.ndarray, x, M: int, d: int):
-    """Field value s(x) = N^(-1/2) sum_ell a[nu(ell)] exp(+2 pi j x . ell).
-
-    ``x`` may be a single point of shape (d,) or a batch of shape (n, d).
-    Stacking over an instance's sample points reproduces G* a.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    if pts.shape[1] != d:
-        raise ValueError(f"points have {pts.shape[1]} components, expected {d}")
-    grid = frequency_grid(M, d)
-    if len(a) != len(grid):
-        raise ValueError(f"coefficient vector has {len(a)} entries, expected {len(grid)}")
-    values = np.exp(2j * np.pi * (pts @ grid.T.astype(float))) @ a / np.sqrt(len(grid))
-    return values[0] if single else values
 
 
 # --- trial orchestration ------------------------------------------------------
@@ -414,7 +370,7 @@ def collect_spectra(d: int, M: int, beta: float, trials: int, seed,
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    _check_budget(estimate_bytes(d, M, beta), max_bytes, "collect_spectra")
+    check_trial_budget(d, M, beta, trials, threads, max_bytes)
     base = _seed_entropy(seed)
 
     def one(trial):

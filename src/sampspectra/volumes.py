@@ -72,34 +72,6 @@ def constraint_system(path: PathLike) -> ConstraintSystem:
     return ConstraintSystem(W=tuple(rows), p=p, k=k)
 
 
-def constraint_rank(system: ConstraintSystem) -> int:
-    """Rank of the constraint matrix over the rationals, computed exactly."""
-    return _exact_rank([list(r) for r in system.W])
-
-
-def _exact_rank(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 # --- exact lattice counting -------------------------------------------------
 
 

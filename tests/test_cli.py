@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from sampspectra.cli import main
+from sampspectra.field_sim import estimate_bytes
 from sampspectra.marchenko_pastur import mp_lmmse, mp_moment
 
 
@@ -138,6 +139,13 @@ class TestMse:
                      "--snr", "10", "--max-mem", "10000", "--out", str(out)])
         assert code == 3
         assert not out.exists()
+        # One trial fits, but four threads would run four at once.
+        budget = str(2 * estimate_bytes(1, 20, 0.5))
+        code = main(["mse", "--d", "1", "--M", "20", "--beta", "0.5", "--snr", "10",
+                     "--trials", "4", "--threads", "4", "--max-mem", budget,
+                     "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
         capsys.readouterr()
 
 
@@ -235,10 +243,13 @@ class TestDeterminism:
 
 class TestImport:
     def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy is needed only by mp_expectation, which no subcommand calls.
+        # Neither the command line nor the MP quadrature needs scipy.
         result = subprocess.run(
             [sys.executable, "-c",
-             "import sys, sampspectra.cli; print('scipy' in sys.modules)"],
+             "import sys, sampspectra.cli\n"
+             "from sampspectra.marchenko_pastur import mp_expectation\n"
+             "mp_expectation(lambda x: x, 0.5)\n"
+             "print('scipy' in sys.modules)"],
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sampspectra import field_sim
 from sampspectra.errors import CapacityError, IntegrityError
 from sampspectra.field_sim import (
     FieldRealization,
@@ -10,44 +11,30 @@ from sampspectra.field_sim import (
     _gram_bytes,
     build_G,
     build_T,
+    check_trial_budget,
     collect_spectra,
     draw_realization,
     empirical_lmmse,
-    empirical_moment,
     estimate_bytes,
     frequency_grid,
     hermitian_eigenvalues,
     instance_for,
-    nu_array_index,
-    nu_index,
-    nu_inverse,
     reconstruct_field,
     rng_for,
     sample_points,
-    synthesize_field_value,
 )
 
 
 class TestIndexing:
-    def test_scalar_index_is_mixed_radix(self):
-        assert nu_index((3,), 5) == 3
-        assert nu_index((-2, 1), 2) == 3
-        assert nu_index((1, -1, 2), 2) == 46
-
     @pytest.mark.parametrize("M, d", [(1, 1), (2, 2), (1, 3), (3, 2)])
     def test_grid_rows_round_trip(self, M, d):
+        # Row i holds the frequency vector with mixed-radix index
+        # nu(ell) = sum_m (2M+1)^(m-1) ell_m = i - (N-1)/2.
         grid = frequency_grid(M, d)
-        assert grid.shape == ((2 * M + 1) ** d, d)
-        for row, ell in enumerate(grid):
-            vector = tuple(int(c) for c in ell)
-            assert nu_array_index(vector, M) == row
-            assert nu_inverse(nu_index(vector, M), M, d) == vector
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            nu_index((3,), 2)
-        with pytest.raises(ValueError):
-            nu_inverse(14, 2, 1)
+        n = (2 * M + 1) ** d
+        assert grid.shape == (n, d)
+        nu = grid @ (2 * M + 1) ** np.arange(d)
+        assert np.array_equal(nu, np.arange(n) - (n - 1) // 2)
 
 
 class TestRng:
@@ -174,25 +161,35 @@ class TestSpectra:
         assert (lam >= 0).all()
         assert (np.diff(lam) >= 0).all()
         assert lam.sum() == pytest.approx(17, rel=1e-12)
-        assert empirical_moment(sample, 1) == pytest.approx(1.0, rel=1e-12)
+        assert np.mean(lam) == pytest.approx(1.0, rel=1e-12)
+
+    def test_hermitian_check_works_in_row_blocks(self):
+        # The check and the eigensolve allocate a small fraction of T
+        # (numpy's linalg copy of T is not visible to tracemalloc).
+        instance = instance_for(3, 4, 0.5, 1)
+        T = build_T(instance)
+        tracemalloc.start()
+        try:
+            hermitian_eigenvalues(T, instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * T.nbytes
 
     def test_rejects_non_hermitian(self):
-        instance = instance_for(1, 3, 0.5, 0)
-        T = build_T(instance)
-        T[0, 1] += 1e-3
-        with pytest.raises(IntegrityError):
-            hermitian_eigenvalues(T, instance)
+        # N=81 spans two 64-row blocks of the Hermitian check; the entries
+        # lie in different block pairs.
+        for M, i, j in [(3, 0, 1), (40, 80, 79), (40, 2, 70), (40, 70, 2)]:
+            instance = instance_for(1, M, 0.5, 0)
+            T = build_T(instance)
+            T[i, j] += 1e-3
+            with pytest.raises(IntegrityError, match="non-Hermitian"):
+                hermitian_eigenvalues(T, instance)
 
     def test_rejects_non_square(self):
         instance = instance_for(1, 3, 0.5, 0)
         with pytest.raises(ValueError):
             hermitian_eigenvalues(np.ones((3, 4)), instance)
-
-    def test_moment_order_validated(self):
-        instance = instance_for(1, 3, 0.5, 0)
-        sample = hermitian_eigenvalues(build_T(instance), instance)
-        with pytest.raises(ValueError):
-            empirical_moment(sample, 0)
 
     def test_spectral_error_form(self):
         instance = instance_for(1, 6, 0.5, 3)
@@ -286,6 +283,30 @@ class TestCollect:
         with pytest.raises(CapacityError):
             collect_spectra(1, 100, 0.5, trials=1, seed=0, max_bytes=10_000)
 
+    def test_threaded_peak_within_checked_budget(self):
+        # Four threads run four trials at once; the check counts all four.
+        checked = 4 * estimate_bytes(3, 4, 0.5)
+        with pytest.raises(CapacityError):
+            collect_spectra(3, 4, 0.5, trials=4, seed=1, threads=4, max_bytes=checked - 1)
+        tracemalloc.start()
+        try:
+            collect_spectra(3, 4, 0.5, trials=4, seed=1, threads=4, max_bytes=checked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= checked
+
+    def test_concurrent_trials_over_budget_fail_before_work(self, monkeypatch):
+        one_trial = estimate_bytes(1, 20, 0.5)
+        collect_spectra(1, 20, 0.5, trials=2, seed=0, threads=1, max_bytes=one_trial)
+        check_trial_budget(1, 20, 0.5, trials=4, threads=1, max_bytes=one_trial)
+        built = []
+        monkeypatch.setattr(field_sim, "build_T", lambda *a, **k: built.append(a))
+        with pytest.raises(CapacityError, match="4 concurrent"):
+            collect_spectra(1, 20, 0.5, trials=4, seed=0, threads=4,
+                            max_bytes=2 * one_trial)
+        assert built == []
+
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", "10000")
         with pytest.raises(CapacityError):
@@ -324,6 +345,14 @@ class TestReconstruction:
         ]
         assert np.mean(draws) == pytest.approx(predicted, rel=0.1)
 
+    def test_normal_matrix_is_under_the_budget(self, monkeypatch):
+        instance = instance_for(1, 20, 0.5, 0)
+        G = build_G(instance)
+        realization = draw_realization(instance, 0.1, (0, 0), G=G)
+        monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", "10000")
+        with pytest.raises(CapacityError, match="build_T"):
+            reconstruct_field(instance, realization, 0.1, G=G)
+
     def test_alpha_must_be_positive(self):
         instance = instance_for(1, 4, 0.5, 0)
         realization = draw_realization(instance, 0.1, (0, 0))
@@ -331,34 +360,6 @@ class TestReconstruction:
             reconstruct_field(instance, realization, 0.0)
         with pytest.raises(ValueError):
             draw_realization(instance, -1.0, (0, 0))
-
-
-class TestSynthesis:
-    def test_stacked_points_reproduce_samples(self):
-        instance = instance_for(2, 2, 0.5, 31)
-        G = build_G(instance)
-        a = rng_for(1).standard_normal((2 * 2 + 1) ** 2)
-        values = synthesize_field_value(a, instance.X, instance.M, instance.d)
-        assert np.allclose(values, G.conj().T @ a, atol=1e-12)
-        single = synthesize_field_value(a, instance.X[5], instance.M, instance.d)
-        assert single == pytest.approx(values[5], abs=1e-14)
-
-    def test_mean_power_matches_coefficients(self):
-        # Orthonormal phases: spatial mean power equals mean coefficient
-        # power; 20000 uniform points pin it within a few percent.
-        rng = rng_for(5)
-        a = (rng.standard_normal(21) + 1j * rng.standard_normal(21)) / np.sqrt(2)
-        points = rng.random((20000, 1))
-        values = synthesize_field_value(a, points, 10, 1)
-        field_power = float(np.mean(np.abs(values) ** 2))
-        coeff_power = float(np.mean(np.abs(a) ** 2))
-        assert field_power == pytest.approx(coeff_power, rel=0.05)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            synthesize_field_value(np.ones(9), np.zeros((4, 3)), 1, 2)
-        with pytest.raises(ValueError):
-            synthesize_field_value(np.ones(7), np.zeros((4, 2)), 1, 2)
 
 
 class TestRealizationContainer:

@@ -16,7 +16,6 @@ from sampspectra.combinatorics import (
 from sampspectra.errors import ConvergenceError, IntegrityError
 from sampspectra.volumes import (
     clear_volume_cache,
-    constraint_rank,
     constraint_system,
     volume_exact,
     volume_of,
@@ -76,7 +75,7 @@ class TestConstraintSystem:
         for p in range(1, 7):
             for labels in iter_partition_paths(p):
                 system = constraint_system(PartitionPath.of(labels))
-                assert constraint_rank(system) == system.k - 1
+                assert np.linalg.matrix_rank(system.as_array()) == system.k - 1
 
     def test_each_row_is_redundant(self):
         # Rows sum to zero, so dropping any one keeps the solution set.
