@@ -36,7 +36,14 @@ from .combinatorics import PartitionPath, reduction_trace
 from .errors import CapacityError, IntegrityError
 from .field_sim import check_trial_budget, collect_spectra, empirical_lmmse
 from .marchenko_pastur import MPParams, mp_lmmse, mp_moment, mp_pdf
-from .moments import moment_eval, moment_expansion, moment_limit, symbolic_expansion
+from .moments import (
+    check_beta,
+    check_d,
+    moment_eval,
+    moment_expansion,
+    moment_limit,
+    symbolic_expansion,
+)
 from .volumes import volume_exact, volume_quadrature
 
 
@@ -95,11 +102,17 @@ def _write_out(path, text: str):
 
 
 def _int_list(text: str) -> list:
-    return [int(part) for part in text.split(",") if part != ""]
+    return _nonempty([int(part) for part in text.split(",") if part != ""])
 
 
 def _float_list(text: str) -> list:
-    return [float(part) for part in text.split(",") if part != ""]
+    return _nonempty([float(part) for part in text.split(",") if part != ""])
+
+
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma list with at least one value")
+    return values
 
 
 def _snr_list(text: str) -> list:
@@ -148,6 +161,11 @@ def _alpha_of(snr_db: float) -> float:
 
 
 def cmd_moments(args):
+    # Reject bad evaluation points before the expansion, the costly part.
+    for d in args.d:
+        check_d(d)
+    for beta in args.beta:
+        check_beta(beta)
     expansion = moment_expansion(args.p)
     symbolic = symbolic_expansion(expansion)
     config = {

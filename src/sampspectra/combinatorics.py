@@ -9,10 +9,18 @@ rules that strip singleton blocks and circularly adjacent repeats from a
 path. A path that reduces to the empty path is exactly a non-crossing
 partition; whatever survives reduction determines the path's volume
 coefficient (see :mod:`sampspectra.volumes`).
+
+Both rules are also operations on the path's transition multigraph, whose
+edges join circularly consecutive labels: rule 2 deletes a self-loop and
+rule 1 series-reduces a vertex of degree 2. :func:`multigraph_class` applies
+them there and names the isomorphism class of what survives, which is all
+the volume depends on.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -299,3 +307,84 @@ def reduction_trace(path: PathLike) -> list:
 def reduce_path(path: PathLike) -> PartitionPath:
     """Fully reduced form of ``path``; empty exactly for non-crossing paths."""
     return reduction_trace(path)[-1].path
+
+
+# --- transition multigraphs -------------------------------------------------
+
+
+def transition_multigraph(labels: Sequence[int]) -> tuple:
+    """Undirected edges between circularly consecutive labels, self-loops dropped.
+
+    Edge {a, b} with a < b is coded as the integer b(b-1)/2 + a, which
+    numbers the pairs of positive labels one to one. The codes come sorted,
+    so two label sequences with the same edge multiset give equal tuples.
+    """
+    labels = tuple(labels)
+    edges = [
+        b * (b - 1) // 2 + a if a < b else a * (a - 1) // 2 + b
+        for a, b in zip(labels, labels[1:] + labels[:1])
+        if a != b
+    ]
+    edges.sort()
+    return tuple(edges)
+
+
+def multigraph_class(edges: tuple) -> tuple:
+    """Isomorphism class of a transition multigraph after reduction.
+
+    Series-reduces degree-2 vertices until none is left, deleting the
+    self-loops this closes and the isolated vertices it leaves. The class is
+    the least sorted ``(i, j, multiplicity)`` edge list over the relabellings
+    of the survivors to 0..n-1 that order them by degree. Non-crossing paths
+    give the empty class ``()``.
+    """
+    adj = {}
+    for code in edges:
+        b = (1 + math.isqrt(8 * code - 7)) // 2
+        a = code - b * (b - 1) // 2
+        for u, w in ((a, b), (b, a)):
+            nbrs = adj.setdefault(u, {})
+            nbrs[w] = nbrs.get(w, 0) + 1
+    while True:
+        v = next((v for v, nbrs in adj.items() if sum(nbrs.values()) == 2), None)
+        if v is None:
+            break
+        nbrs = adj.pop(v)
+        for u in nbrs:
+            del adj[u][v]
+        a, b = [u for u, m in nbrs.items() for _ in range(m)]
+        if a != b:  # a == b closes a self-loop, which is deleted
+            adj[a][b] = adj[a].get(b, 0) + 1
+            adj[b][a] = adj[b].get(a, 0) + 1
+        for u in nbrs:
+            if not adj[u]:
+                del adj[u]
+    rank = {v: i for i, v in enumerate(sorted(adj))}
+    return _canonical_form(tuple(sorted(
+        (rank[u], rank[w], m) for u, nbrs in adj.items() for w, m in nbrs.items() if u < w
+    )))
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_form(edges: tuple) -> tuple:
+    """Least relabelled edge list of a graph on vertices 0..n-1.
+
+    Only relabellings that sort vertices by degree are tried, since every
+    isomorphism preserves degree. Reduced graphs of order p have at most
+    p/2 vertices, so at p <= 12 this is at most 6! orderings. Memoized,
+    because many labelled multigraphs reduce to the same graph.
+    """
+    degree = {}
+    for u, w, m in edges:
+        degree[u] = degree.get(u, 0) + m
+        degree[w] = degree.get(w, 0) + m
+    by_degree = sorted(degree, key=degree.get)
+    groups = [list(g) for _, g in itertools.groupby(by_degree, key=degree.get)]
+
+    def relabelled(ordering):
+        index = {v: i for i, v in enumerate(itertools.chain.from_iterable(ordering))}
+        return tuple(sorted(
+            (min(index[u], index[w]), max(index[u], index[w]), m) for u, w, m in edges
+        ))
+
+    return min(map(relabelled, itertools.product(*map(itertools.permutations, groups))))

@@ -22,7 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .combinatorics import PartitionPath, PathLike, reduce_path
+from .combinatorics import (
+    PartitionPath,
+    PathLike,
+    multigraph_class,
+    reduce_path,
+    transition_multigraph,
+)
 from .errors import ConvergenceError, IntegrityError
 
 
@@ -230,14 +236,16 @@ _cache_lock = threading.Lock()
 def volume_of(path: PathLike) -> Fraction:
     """Volume coefficient of an arbitrary path, reducing first.
 
-    Memoized on the reduced form, which collapses the bulk of an order-p
-    catalog onto a short list of distinct survivors.
+    Memoized on the class of the path's reduced transition multigraph
+    (:func:`~sampspectra.combinatorics.multigraph_class`), which collapses
+    an order-p catalog onto a few classes: 16 at p = 9. Only a miss reduces
+    the path and counts its lattice points.
     """
-    reduced = reduce_path(path)
-    key = reduced.labels
+    path = PartitionPath.of(path)
+    key = multigraph_class(transition_multigraph(path.labels))
     cached = _volume_cache.get(key)
     if cached is None:
-        cached = volume_exact(reduced).exact
+        cached = volume_exact(reduce_path(path)).exact
         with _cache_lock:
             _volume_cache[key] = cached
     return cached

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import sampspectra.cli
 from sampspectra.cli import main
 from sampspectra.field_sim import estimate_bytes
 from sampspectra.marchenko_pastur import mp_lmmse, mp_moment
@@ -49,6 +50,19 @@ class TestMoments:
     def test_capacity_exit_code(self, capsys):
         assert main(["moments", "--p", "13", "--d", "1", "--beta", "0.5"]) == 3
         assert "13" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d, beta", [("0", "0.5"), ("1", "1.5"), (",", "0.5")])
+    def test_bad_arguments_fail_before_the_expansion(self, d, beta, monkeypatch, capsys):
+        def expansion_not_allowed(p):
+            raise AssertionError("moment_expansion ran before validation")
+
+        monkeypatch.setattr(sampspectra.cli, "moment_expansion", expansion_not_allowed)
+        try:
+            code = main(["moments", "--p", "9", "--d", d, "--beta", beta])
+        except SystemExit as exc:  # argparse rejects the empty list
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestVolume:

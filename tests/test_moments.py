@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sampspectra.combinatorics import iter_partition_paths, narayana, reduce_path, stirling2
 from sampspectra.errors import CapacityError
 from sampspectra.moments import (
     crossing_envelope,
@@ -10,6 +11,7 @@ from sampspectra.moments import (
     moment_limit,
     symbolic_expansion,
 )
+from sampspectra.volumes import volume_exact
 
 ONE = Fraction(1)
 
@@ -50,6 +52,26 @@ class TestExpansionStructure:
             (ONE, 5): 15,
             (ONE, 6): 1,
         }
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_matches_per_path_reference(self, p):
+        # Reference without the class machinery or any cache: reduce every
+        # path and count its survivor's lattice points.
+        reference = {}
+        for labels in iter_partition_paths(p):
+            key = (volume_exact(reduce_path(labels)).exact, max(labels))
+            reference[key] = reference.get(key, 0) + 1
+        assert moment_expansion(p).term_map() == reference
+
+    def test_tenth_order_structure(self):
+        by_k = {}
+        for t in moment_expansion(10).terms:
+            by_k.setdefault(t.k, []).append(t)
+        assert sorted(by_k) == list(range(1, 11))
+        for k, terms in by_k.items():
+            assert sum(t.multiplicity for t in terms) == stirling2(10, k)
+            assert sum(t.multiplicity for t in terms if t.volume == 1) == narayana(10, k)
+            assert all(0 < t.volume <= Fraction(2, 3) for t in terms if t.volume != 1)
 
     def test_order_cap(self):
         with pytest.raises(CapacityError):

@@ -11,7 +11,9 @@ from sampspectra.combinatorics import (
     PartitionPath,
     is_crossing,
     iter_partition_paths,
+    multigraph_class,
     reduce_path,
+    transition_multigraph,
 )
 from sampspectra.errors import ConvergenceError, IntegrityError
 from sampspectra.volumes import (
@@ -218,6 +220,69 @@ class TestVolumeOf:
                 scrambled = remove(scrambled, rng.choice(options))
             assert volume_exact(PartitionPath.of(scrambled)).exact == volume_of(labels)
             assert reduce_path(scrambled).p == reduce_path(labels).p
+
+
+def class_key(labels):
+    return multigraph_class(transition_multigraph(labels))
+
+
+class TestMultigraphClass:
+    def test_edges_are_coded_pairs_without_self_loops(self):
+        # {a, b} with a < b is coded b(b-1)/2 + a: {1,2} -> 2, {1,3} -> 4,
+        # {2,3} -> 5.
+        assert transition_multigraph([1, 2, 1, 2]) == (2, 2, 2, 2)
+        assert transition_multigraph([1, 1, 2, 2, 3]) == (2, 4, 5)
+        assert transition_multigraph([1, 1, 1]) == ()
+
+    def test_non_crossing_paths_form_the_empty_class(self):
+        for p in range(1, 8):
+            for labels in iter_partition_paths(p):
+                assert (class_key(labels) == ()) == (not is_crossing(labels))
+
+    def test_every_survivor_has_its_class_volume(self):
+        # The volume cache is keyed on the class, so after a reset
+        # volume_of returns the lattice-count volume of the first survivor
+        # of each class, which every other survivor must match.
+        survivors = {reduce_path(labels).labels
+                     for p in range(1, 8) for labels in iter_partition_paths(p)}
+        pool = [labels for p in (8, 9) for labels in iter_partition_paths(p)]
+        rng = random.Random(20261018)
+        rng.shuffle(pool)
+        sampled = set()
+        for labels in pool:
+            reduced = reduce_path(labels).labels
+            if len(reduced) >= 8:
+                sampled.add(reduced)
+                if len(sampled) == 100:
+                    break
+        assert len(survivors) == 21 and len(sampled) == 100
+        clear_volume_cache()
+        for labels in sorted(survivors) + sorted(sampled):
+            survivor = PartitionPath.of(labels)
+            assert volume_exact(survivor).exact == volume_of(survivor), labels
+
+    def test_relabelling_blocks_keeps_the_class(self):
+        rng = random.Random(7)
+        pool = [labels for p in range(4, 10) for labels in iter_partition_paths(p)]
+        for labels in rng.sample(pool, 300):
+            k = max(labels)
+            images = rng.sample(range(1, k + 1), k)
+            relabelled = [images[v - 1] for v in labels]
+            assert class_key(relabelled) == class_key(labels), (labels, relabelled)
+
+    def test_multiplicities_separate_classes(self):
+        # Both walks run around the 4-cycle 1-2-3-4 and are fully reduced:
+        # every edge doubled, against edges 1-2 and 3-4 tripled and 2-3 and
+        # 4-1 single. Same vertices, edges and underlying simple graph.
+        doubled = (1, 2, 3, 4, 1, 2, 3, 4)
+        uneven = (1, 2, 1, 2, 3, 4, 3, 4)
+        for labels in (doubled, uneven):
+            assert reduce_path(labels).labels == labels
+        assert sorted(set(transition_multigraph(doubled))) == sorted(
+            set(transition_multigraph(uneven)))
+        assert class_key(doubled) != class_key(uneven)
+        assert volume_exact(PartitionPath.of(doubled)).exact == Fraction(2, 5)
+        assert volume_exact(PartitionPath.of(uneven)).exact != Fraction(2, 5)
 
 
 class TestVolumeQuadrature:
