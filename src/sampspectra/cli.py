@@ -115,6 +115,13 @@ def _nonempty(values: list) -> list:
     return values
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _snr_list(text: str) -> list:
     out = []
     for part in text.split(","):
@@ -140,6 +147,8 @@ def _snr_grid(text: str) -> list:
             break
         grid.append(value)
         k += 1
+    if not grid:
+        raise argparse.ArgumentTypeError(f"start:stop:step {text!r} holds no value")
     return grid
 
 
@@ -335,7 +344,7 @@ def _add_output_flags(sub):
 def _add_sim_flags(sub):
     sub.add_argument("--trials", type=int, default=50)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1,
+    sub.add_argument("--threads", type=_positive_int, default=1,
                      help="trial-level worker threads; never affects the output")
     sub.add_argument("--max-mem", type=int, default=None,
                      help="memory budget in bytes (default 2 GiB or "

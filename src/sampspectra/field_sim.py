@@ -16,6 +16,7 @@ only on those keys, never on scheduling.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +34,10 @@ _HERMITIAN_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
 _CLAMP_PER_N = 1e-10
 _TRACE_RTOL = 1e-10
-_HERMITIAN_BLOCK = 64
+# Rows per block of the gather and of the Hermitian check.
+_ROW_BLOCK = 64
+# Working set of one chunk of sample points in the generating-value sums.
+_GENERATOR_CHUNK_BYTES = 16 * 2**20
 
 
 def rng_for(seed, *stream) -> np.random.Generator:
@@ -113,12 +117,12 @@ class FieldRealization:
 
 def sample_points(r: int, d: int, seed, M: int) -> SamplingInstance:
     """Draw r uniform sample points in [0,1)^d for bandwidth order M."""
-    if r < 1:
-        raise ValueError(f"number of samples must be positive, got {r}")
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if M < 0:
         raise ValueError(f"M must be non-negative, got {M}")
+    if r < 1:
+        raise ValueError(f"number of samples must be positive, got {r}")
     n_coeff = (2 * M + 1) ** d
     beta = n_coeff / r
     if not 0 < beta < 1:
@@ -138,33 +142,50 @@ def instance_for(d: int, M: int, beta: float, seed) -> SamplingInstance:
     return sample_points(r, d, seed, M)
 
 
+def _generator_point_bytes(d: int, M: int) -> int:
+    """Bytes that one sample point holds while :func:`_phasor_sum` runs.
+
+    Its d per-axis phasors (plus one float phase array in flight) and its
+    column of the Khatri-Rao block of (4M+1)^(d-1) entries (plus the
+    previous stage while the block grows).
+    """
+    width = 4 * M + 1
+    block_rows = width ** (d - 1) + width ** max(d - 2, 0)
+    return 16 * d * width + 8 * width + 16 * block_rows
+
+
+def _generator_chunk(d: int, M: int) -> int:
+    """Sample points per chunk of :func:`_toeplitz_generator`."""
+    return max(1, _GENERATOR_CHUNK_BYTES // _generator_point_bytes(d, M))
+
+
 def _gram_bytes(d: int, M: int, r: int) -> int:
     """Peak working set of :func:`build_T`, the larger of its two phases.
 
-    Making the generating values holds the d per-axis phasors (plus one
-    float phase array in flight), the Khatri-Rao block of r (4M+1)^(d-1)
-    entries (plus its previous stage while it grows) and the (4M+1)^d
-    values. Gathering holds those values, the N^2 gather index and T.
+    Making the generating values holds one chunk of sample points (see
+    :func:`_generator_point_bytes`), the (4M+1)^d running sums and the
+    chunk's own sums. Gathering holds the generating values with their real
+    and imaginary parts, the real N^2 matrix and, for one block of rows,
+    a gather index and the gathered values.
     """
-    width = 4 * M + 1
+    values = (4 * M + 1) ** d
     n_coeff = (2 * M + 1) ** d
-    block_rows = width ** (d - 1) + width ** max(d - 2, 0)
-    generate = r * (16 * d * width + 8 * width + 16 * block_rows) + 16 * width**d
-    gather = 16 * width**d + 24 * n_coeff**2
+    generate = min(r, _generator_chunk(d, M)) * _generator_point_bytes(d, M) + 32 * values
+    gather = 32 * values + 8 * n_coeff**2 + 16 * min(_ROW_BLOCK, n_coeff) * n_coeff
     return max(generate, gather)
 
 
 def estimate_bytes(d: int, M: int, beta: float) -> int:
     """Rough working-set size of one trial at these parameters.
 
-    The larger of :func:`build_T`'s peak and the verified eigensolve's 32 N^2
-    bytes: T and the copy of it that ``eigvalsh`` makes inside numpy's
-    linalg extension. That copy is allocated outside numpy's array
+    The larger of :func:`build_T`'s peak and the verified eigensolve's 16 N^2
+    bytes: the real matrix and the copy of it that ``eigvalsh`` makes inside
+    numpy's linalg extension. That copy is allocated outside numpy's array
     allocator, so tracemalloc does not see it.
     """
     n_coeff = (2 * M + 1) ** d
     r = max(round(n_coeff / beta), n_coeff + 1)
-    return max(_gram_bytes(d, M, r), 32 * n_coeff**2)
+    return max(_gram_bytes(d, M, r), 16 * n_coeff**2)
 
 
 def _check_budget(required, max_bytes, what):
@@ -200,46 +221,94 @@ def build_G(instance: SamplingInstance, max_bytes=None) -> np.ndarray:
     return np.exp(-2j * np.pi * phase) / np.sqrt(n_coeff)
 
 
+def _phasor_sum(X: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_q prod_m exp(-2 pi j x_{q,m} k_m) over the rows x_q of X.
+
+    Each k_m runs over the values in ``k``; the result has one row per
+    (k_{d-1}, ..., k_1) and one column per k_0. Each axis contributes its
+    own len(k) x len(X) phasors; a Khatri-Rao product combines axes d-1..1
+    (axis 1 varying fastest) and one matrix product with axis 0 sums over
+    the points.
+    """
+    count = len(X)
+    phasors = []
+    for x in X.T:
+        z = -2j * np.pi * np.outer(k, x)
+        phasors.append(np.exp(z, out=z))
+    block = np.ones((1, count), dtype=complex)
+    for z in phasors[:0:-1]:
+        block = (block[:, None, :] * z[None, :, :]).reshape(-1, count)
+    return block @ phasors[0].T
+
+
 def _toeplitz_generator(instance: SamplingInstance) -> np.ndarray:
     """Generating values S[k] = (1/r) sum_q prod_m exp(-2 pi j x_{q,m} k_m).
 
     k runs over [-2M..2M]^d and sits at sum_m (k_m + 2M) (4M+1)^m of the
-    returned vector. Each axis contributes its own (4M+1) x r phasors; a
-    Khatri-Rao product combines axes d-1..1 (axis 1 varying fastest) and one
-    matrix product with axis 0 sums over the sample points.
+    returned vector. The sum runs over chunks of sample points, so that the
+    per-point phasors never take more than about _GENERATOR_CHUNK_BYTES.
     """
-    M, r = instance.M, instance.r
+    d, M, r = instance.d, instance.M, instance.r
     k = np.arange(-2 * M, 2 * M + 1, dtype=float)
-    phasors = []
-    for x in instance.X.T:
-        z = -2j * np.pi * np.outer(k, x)
-        phasors.append(np.exp(z, out=z))
-    block = np.ones((1, r), dtype=complex)
-    for z in phasors[:0:-1]:
-        block = (block[:, None, :] * z[None, :, :]).reshape(-1, r)
-    S = block @ phasors[0].T
+    chunk = _generator_chunk(d, M)
+    S = _phasor_sum(instance.X[:chunk], k)
+    for start in range(chunk, r, chunk):
+        S += _phasor_sum(instance.X[start:start + chunk], k)
     S /= r
     return S.ravel()
 
 
+def _gather_real(re: np.ndarray, im: np.ndarray, u: np.ndarray, offset: int) -> np.ndarray:
+    """R[i, j] = re[offset + u_i - u_j] + im[offset - u_i - u_j], by row blocks."""
+    n = len(u)
+    R = np.empty((n, n))
+    for s in range(0, n, _ROW_BLOCK):
+        rows = u[s:s + _ROW_BLOCK, None]
+        block = R[s:s + _ROW_BLOCK]
+        np.take(re, offset + rows - u, out=block)
+        block += np.take(im, offset - rows - u)
+    return R
+
+
 def build_T(instance: SamplingInstance, max_bytes=None) -> np.ndarray:
-    """Scaled Gram matrix T = beta G G*, with an exactly unit diagonal.
+    """Real symmetric form R = U* T U of the scaled Gram matrix T = beta G G*.
 
     T[i, j] = (1/r) sum_q exp(-2 pi j x_q . (ell_i - ell_j)) depends only on
-    the frequency difference, so T is multilevel Toeplitz and is gathered
-    from its (4M+1)^d generating values, which cost (4M+1)^d r multiply-adds
-    instead of the N^2 r of G G* (see :func:`_toeplitz_generator`). The
-    diagonal equals beta * r / N = 1 identically, so it is written as 1.0
-    instead of trusting accumulated round-off.
+    the frequency difference, so T is multilevel Toeplitz with (4M+1)^d
+    generating values S, which cost (4M+1)^d r multiply-adds instead of the
+    N^2 r of G G* (see :func:`_toeplitz_generator`). Row N-1-i of the
+    frequency grid holds -ell_i, so with J the exchange matrix J T J is the
+    conjugate of T, and the unitary U = (I + iJ)/sqrt(2) takes T to the real
+    symmetric R = Re T + J Im T with the same spectrum:
+
+        R[i, j] = Re S(ell_i - ell_j) + Im S(-ell_i - ell_j).
+
+    Re S(0) = beta r / N = 1 identically, so the diagonal is written as
+    1.0 + Im S(-2 ell_i) instead of trusting accumulated round-off. The
+    Frobenius identity ||R||_F^2 = ||T||_F^2 = sum_k c_k |S_k|^2, where c_k
+    counts the index pairs with frequency difference k, ties R to T and
+    raises IntegrityError if the gather loses either part.
     """
     d, M = instance.d, instance.M
     _check_budget(_gram_bytes(d, M, instance.r), max_bytes, "build_T")
     S = _toeplitz_generator(instance)
     weights = (4 * M + 1) ** np.arange(d)
     u = frequency_grid(M, d) @ weights
-    T = S[(u + 2 * M * weights.sum())[:, None] - u[None, :]]
-    np.fill_diagonal(T, 1.0)
-    return T
+    offset = 2 * M * int(weights.sum())
+    re, im = S.real.copy(), S.imag.copy()
+    R = _gather_real(re, im, u, offset)
+    R[np.diag_indices_from(R)] = 1.0 + im[offset - 2 * u]
+
+    side = (2 * M + 1 - np.abs(np.arange(-2 * M, 2 * M + 1))).astype(float)
+    pairs = functools.reduce(np.multiply.outer, [side] * d).ravel()
+    expected = float(pairs @ (re * re + im * im))
+    frobenius = float(np.vdot(R, R))
+    if abs(frobenius - expected) > _TRACE_RTOL * expected:
+        raise IntegrityError(
+            f"squared Frobenius norm {frobenius} of the real form disagrees "
+            f"with {expected} from the generating values"
+        )
+    return R
 
 
 def hermitian_eigenvalues(T: np.ndarray, instance: SamplingInstance) -> SpectrumSample:
@@ -256,8 +325,8 @@ def hermitian_eigenvalues(T: np.ndarray, instance: SamplingInstance) -> Spectrum
         raise ValueError(f"T must be square, got {T.shape}")
     # Row blocks keep the temporaries at a few rows of T, not two copies.
     deviation = 0.0
-    for s in range(0, n, _HERMITIAN_BLOCK):
-        e = s + _HERMITIAN_BLOCK
+    for s in range(0, n, _ROW_BLOCK):
+        e = s + _ROW_BLOCK
         deviation = max(deviation, np.max(np.abs(T[s:e] - T[:, s:e].conj().T)))
     if deviation > _HERMITIAN_TOL:
         raise IntegrityError(f"input is non-Hermitian (max deviation {deviation})")
@@ -334,8 +403,11 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     """LMMSE estimate of the coefficients from the noisy samples.
 
     Solves (G G* + alpha I) a_hat = G p and returns (a_hat, mse) with
-    mse = ||a_hat - a||^2 / N for this single draw. The normal matrix is
-    T / beta + alpha I, with T from :func:`build_T` and its budget check.
+    mse = ||a_hat - a||^2 / N for this single draw. In the real frame of
+    :func:`build_T` the normal matrix is A = R / beta + alpha I, so the
+    system A y = U* G p is real, with the real and imaginary parts of the
+    right-hand side as two columns, and a_hat = U y. U is unitary, so the
+    residual check reads the same in either frame.
     Requires alpha > 0 so the normal matrix stays positive definite.
     """
     if alpha <= 0:
@@ -347,13 +419,18 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     A /= instance.beta
     A[np.diag_indices_from(A)] += alpha
     b = G @ realization.p
-    a_hat = np.linalg.solve(A, b)
-    residual = np.linalg.norm(A @ a_hat - b)
+    # U* b = (b - i J b) / sqrt(2); J reverses the order of the coefficients.
+    c = (b - 1j * b[::-1]) / np.sqrt(2)
+    B = np.stack([c.real, c.imag], axis=1)
+    Y = np.linalg.solve(A, B)
+    residual = np.linalg.norm(A @ Y - B)
     allowed = _RESIDUAL_TOL * (
-        np.linalg.norm(A) * np.linalg.norm(a_hat) + np.linalg.norm(b)
+        np.linalg.norm(A) * np.linalg.norm(Y) + np.linalg.norm(B)
     )
     if residual > allowed:
         raise IntegrityError(f"solver residual {residual} exceeds {allowed}")
+    y = Y[:, 0] + 1j * Y[:, 1]
+    a_hat = (y + 1j * y[::-1]) / np.sqrt(2)
     mse = float(np.linalg.norm(a_hat - realization.a) ** 2 / n_coeff)
     return a_hat, mse
 

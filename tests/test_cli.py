@@ -231,6 +231,28 @@ class TestArgparse:
                   "--snr-grid", "0:30"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["mse", "--d", "1", "--M", "4", "--beta", "0.5"],
+        ["mp", "--beta", "0.5"],
+    ])
+    def test_empty_snr_grid_exits_two(self, command, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--snr-grid", "30:0:5"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_exit_two(self, threads, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["spectrum", "--d", "1", "--M", "4", "--beta", "0.5",
+                  "--threads", threads])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_negative_order_is_named(self, capsys):
+        assert main(["spectrum", "--d", "1", "--M", "-1", "--beta", "0.5"]) == 2
+        assert "M must be non-negative" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_thread_count_never_changes_bytes(self, tmp_path):

@@ -93,42 +93,81 @@ class TestSynthesisMatrix:
         expected = np.array([1j * s3, s3, -1j * s3])
         assert np.allclose(G[:, 0], expected, atol=1e-15)
 
+    @staticmethod
+    def real_form(T):
+        # U* T U with U = (I + iJ)/sqrt(2), J the exchange matrix.
+        n = len(T)
+        U = (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2)
+        return U.conj().T @ T @ U
+
     def test_gram_entries_match_direct_sum(self):
-        # T entries depend only on the frequency difference: each one is the
-        # empirical average of a single oscillation over the sample points.
+        # R = Re T + J Im T: each entry is the real part of the empirical
+        # average of one oscillation over the sample points plus the
+        # imaginary part of another; T's own diagonal is exactly 1.
         instance = sample_points(40, 1, 7, 3)
-        T = build_T(instance)
+        R = build_T(instance)
         x = instance.X[:, 0]
+        ell = np.arange(7) - 3
+
+        def direct(k):
+            return np.mean(np.exp(-2j * np.pi * k * x))
+
         for i in range(7):
             for j in range(7):
-                if i == j:
-                    assert T[i, j] == 1.0
-                else:
-                    direct = np.mean(np.exp(-2j * np.pi * (i - j) * x))
-                    assert abs(T[i, j] - direct) < 1e-12
+                re = 1.0 if i == j else direct(ell[i] - ell[j]).real
+                expected = re + direct(-ell[i] - ell[j]).imag
+                assert abs(R[i, j] - expected) < 1e-12
+        assert R[3, 3] == 1.0
 
     def test_gram_entries_multidimensional(self):
         instance = sample_points(60, 2, 11, 1)
-        T = build_T(instance)
+        R = build_T(instance)
         grid = frequency_grid(1, 2)
+
+        def direct(k):
+            return np.mean(np.exp(-2j * np.pi * (instance.X @ k)))
+
         for i in range(9):
             for j in range(9):
                 diff = grid[i] - grid[j]
-                if not diff.any():
-                    assert T[i, j] == 1.0
-                else:
-                    direct = np.mean(np.exp(-2j * np.pi * (instance.X @ diff)))
-                    assert abs(T[i, j] - direct) < 1e-12
+                re = 1.0 if not diff.any() else direct(diff).real
+                expected = re + direct(-grid[i] - grid[j]).imag
+                assert abs(R[i, j] - expected) < 1e-12
 
     @pytest.mark.parametrize("d, M", [(1, 7), (2, 3), (3, 2), (4, 1)])
     def test_toeplitz_assembly_matches_gram_product(self, d, M):
         instance = instance_for(d, M, 0.5, (19, d, M))
         G = build_G(instance)
-        expected = instance.beta * (G @ G.conj().T)
-        np.fill_diagonal(expected, 1.0)
-        T = build_T(instance)
-        assert (np.diag(T) == 1.0).all()
-        assert np.max(np.abs(T - expected)) <= 1e-12
+        T = instance.beta * (G @ G.conj().T)
+        np.fill_diagonal(T, 1.0)
+        R = build_T(instance)
+        assert R.dtype == np.float64
+        assert np.max(np.abs(R - self.real_form(T))) <= 1e-12
+
+    @pytest.mark.parametrize("d, M", [(1, 7), (2, 3), (3, 2), (4, 1), (2, 0)])
+    def test_real_form_keeps_the_spectrum(self, d, M):
+        instance = instance_for(d, M, 0.5, (23, d, M))
+        G = build_G(instance)
+        expected = np.linalg.eigvalsh(instance.beta * (G @ G.conj().T))
+        sample = hermitian_eigenvalues(build_T(instance), instance)
+        assert np.max(np.abs(sample.eigenvalues - expected)) <= 1e-12
+
+    def test_gather_that_drops_the_imaginary_part_fails(self, monkeypatch):
+        # Re T alone is real symmetric too, but it has a smaller Frobenius
+        # norm than T; the identity on the generating values tells them apart.
+        gather = field_sim._gather_real
+        monkeypatch.setattr(field_sim, "_gather_real",
+                            lambda re, im, u, offset: gather(re, 0 * im, u, offset))
+        with pytest.raises(IntegrityError, match="Frobenius"):
+            build_T(instance_for(2, 3, 0.5, 5))
+
+    def test_chunked_sums_match_one_chunk(self, monkeypatch):
+        instance = instance_for(2, 3, 0.5, 6)
+        whole = build_T(instance)
+        point = field_sim._generator_point_bytes(2, 3)
+        monkeypatch.setattr(field_sim, "_GENERATOR_CHUNK_BYTES", 7 * point)
+        assert field_sim._generator_chunk(2, 3) == 7
+        assert np.max(np.abs(build_T(instance) - whole)) <= 1e-14
 
     def test_memory_budget_enforced(self):
         with pytest.raises(CapacityError):
@@ -136,7 +175,8 @@ class TestSynthesisMatrix:
         with pytest.raises(CapacityError):
             build_T(instance_for(1, 200, 0.5, 0), max_bytes=10_000)
 
-    @pytest.mark.parametrize("d, M", [(1, 30), (2, 6), (3, 2), (4, 1)])
+    # (1, 600) sums its generating values over several chunks of points.
+    @pytest.mark.parametrize("d, M", [(1, 30), (2, 6), (3, 2), (4, 1), (1, 600)])
     def test_budget_covers_measured_working_set(self, d, M):
         # The counted bytes bound what build_T really allocates, up to the
         # fixed-size buffers numpy's ufuncs use for casts and broadcasts.
@@ -307,6 +347,20 @@ class TestCollect:
                             max_bytes=2 * one_trial)
         assert built == []
 
+    @pytest.mark.parametrize("d, M, fits", [
+        (3, 10, True), (3, 11, False), (2, 53, True), (2, 54, False),
+        (1, 4000, True), (1, 5792, True), (1, 5793, False),
+    ])
+    def test_default_budget_caps(self, d, M, fits, monkeypatch):
+        # One trial needs 16 N^2 bytes at these sizes, so the 2 GiB default
+        # stops at N = 11585 (d=1), M = 53 (d=2) and M = 10 (d=3).
+        monkeypatch.delenv("SAMPSPECTRA_MAX_MEM", raising=False)
+        if fits:
+            check_trial_budget(d, M, 0.5, 1)
+        else:
+            with pytest.raises(CapacityError):
+                check_trial_budget(d, M, 0.5, 1)
+
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", "10000")
         with pytest.raises(CapacityError):
@@ -344,6 +398,18 @@ class TestReconstruction:
             for i in range(200)
         ]
         assert np.mean(draws) == pytest.approx(predicted, rel=0.1)
+
+    def test_estimate_matches_the_complex_normal_equations(self):
+        instance = instance_for(2, 3, 0.5, 12)
+        G = build_G(instance)
+        alpha = 0.3
+        realization = draw_realization(instance, alpha, (12, 0), G=G)
+        a_hat, mse = reconstruct_field(instance, realization, alpha, G=G)
+        A = G @ G.conj().T + alpha * np.eye(len(G))
+        expected = np.linalg.solve(A, G @ realization.p)
+        assert np.max(np.abs(a_hat - expected)) <= 1e-10
+        assert mse == pytest.approx(np.linalg.norm(expected - realization.a) ** 2 / len(G),
+                                    rel=1e-10)
 
     def test_normal_matrix_is_under_the_budget(self, monkeypatch):
         instance = instance_for(1, 20, 0.5, 0)
