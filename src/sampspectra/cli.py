@@ -122,21 +122,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _snr_list(text: str) -> list:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part == "":
-            continue
-        out.append(float("inf") if part.lower() == "inf" else float(part))
-    return out
-
-
 def _snr_grid(text: str) -> list:
     pieces = text.split(":")
     if len(pieces) != 3:
         raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in pieces)
+    if not np.isfinite((start, stop, step)).all():
+        raise argparse.ArgumentTypeError(
+            f"start, stop and step must be finite, got {text!r}")
     if step <= 0:
         raise argparse.ArgumentTypeError(f"step must be positive, got {step}")
     grid = []
@@ -155,15 +148,17 @@ def _snr_grid(text: str) -> list:
 def _resolve_snrs(args) -> list:
     if args.snr is not None and args.snr_grid is not None:
         raise ValueError("give either --snr or --snr-grid, not both")
-    if args.snr is not None:
-        return args.snr
-    if args.snr_grid is not None:
-        return args.snr_grid
-    raise ValueError("an SNR grid is required (--snr or --snr-grid)")
+    snrs = args.snr if args.snr is not None else args.snr_grid
+    if snrs is None:
+        raise ValueError("an SNR grid is required (--snr or --snr-grid)")
+    for snr_db in snrs:
+        if not snr_db > -np.inf:  # also false for nan
+            raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
+    return snrs
 
 
 def _alpha_of(snr_db: float) -> float:
-    return 0.0 if np.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
+    return 0.0 if snr_db == np.inf else 10.0 ** (-snr_db / 10.0)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -244,9 +239,6 @@ def cmd_volume(args):
 
 def cmd_mse(args):
     snrs = _resolve_snrs(args)
-    for beta in args.beta:
-        if not 0 < beta < 1:
-            raise ValueError(f"beta must lie in (0, 1), got {beta}")
     # Reject any over-budget combination before the first trial runs.
     for d in args.d:
         for beta in args.beta:
@@ -284,8 +276,6 @@ def cmd_mse(args):
 def cmd_spectrum(args):
     if args.bins < 1:
         raise ValueError(f"bins must be positive, got {args.bins}")
-    if not 0 < args.beta < 1:
-        raise ValueError(f"beta must lie in (0, 1), got {args.beta}")
     config = {
         "command": "spectrum", "d": args.d, "M": args.M, "beta": args.beta,
         "trials": args.trials, "seed": args.seed, "bins": args.bins,
@@ -375,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--d", type=_int_list, required=True, help="comma list")
     sub.add_argument("--M", type=int, required=True)
     sub.add_argument("--beta", type=_float_list, required=True, help="comma list")
-    sub.add_argument("--snr", type=_snr_list, default=None,
+    sub.add_argument("--snr", type=_float_list, default=None,
                      help="comma list of SNRs in dB; 'inf' for noiseless")
     sub.add_argument("--snr-grid", type=_snr_grid, default=None,
                      help="start:stop:step in dB, inclusive")
@@ -396,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--beta", type=_float_list, required=True, help="comma list")
     sub.add_argument("--p", type=int, default=None,
                      help="emit limit moments for orders 1..p")
-    sub.add_argument("--snr", type=_snr_list, default=None)
+    sub.add_argument("--snr", type=_float_list, default=None)
     sub.add_argument("--snr-grid", type=_snr_grid, default=None)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_mp)

@@ -31,7 +31,6 @@ from .errors import CapacityError
 #: B(12) = 4,213,597 paths; a fully materialized catalog stays under 1 GB.
 MAX_ORDER = 12
 
-Labels = "tuple[int, ...]"
 PathLike = Union["PartitionPath", Sequence[int]]
 
 
@@ -134,17 +133,17 @@ def iter_partition_paths(p: int) -> Iterator[tuple]:
             mx[j] = mx[i]
 
 
-def enumerate_partitions(p: int, max_order: int = MAX_ORDER) -> PartitionCatalog:
+def enumerate_partitions(p: int) -> PartitionCatalog:
     """Materialize the catalog of all partitions of order ``p``.
 
-    Raises :class:`CapacityError` beyond ``max_order``; the catalog size is
+    Raises :class:`CapacityError` beyond ``MAX_ORDER``; the catalog size is
     the Bell number B(p), which grows too fast to materialize casually.
     """
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
-    if p > max_order:
+    if p > MAX_ORDER:
         raise CapacityError(
-            f"order {p} exceeds the configured maximum {max_order} "
+            f"order {p} exceeds the configured maximum {MAX_ORDER} "
             f"(B({p}) = {bell(p)} paths)"
         )
     paths = tuple(PartitionPath(w) for w in iter_partition_paths(p))
@@ -329,19 +328,22 @@ def transition_multigraph(labels: Sequence[int]) -> tuple:
     return tuple(edges)
 
 
-def multigraph_class(edges: tuple) -> tuple:
-    """Isomorphism class of a transition multigraph after reduction.
+def multigraph_class(labels: Sequence[int]) -> tuple:
+    """Isomorphism class of the reduced transition multigraph of ``labels``.
 
-    Series-reduces degree-2 vertices until none is left, deleting the
-    self-loops this closes and the isolated vertices it leaves. The class is
-    the least sorted ``(i, j, multiplicity)`` edge list over the relabellings
-    of the survivors to 0..n-1 that order them by degree. Non-crossing paths
-    give the empty class ``()``.
+    The multigraph joins circularly consecutive labels and has no
+    self-loops (see :func:`transition_multigraph`). Series-reduces degree-2
+    vertices until none is left, deleting the self-loops this closes and
+    the isolated vertices it leaves. The class is the least sorted
+    ``(i, j, multiplicity)`` edge list over the relabellings of the
+    survivors to 0..n-1 that order them by degree. Non-crossing paths give
+    the empty class ``()``.
     """
+    labels = tuple(labels)
     adj = {}
-    for code in edges:
-        b = (1 + math.isqrt(8 * code - 7)) // 2
-        a = code - b * (b - 1) // 2
+    for a, b in zip(labels, labels[1:] + labels[:1]):
+        if a == b:
+            continue
         for u, w in ((a, b), (b, a)):
             nbrs = adj.setdefault(u, {})
             nbrs[w] = nbrs.get(w, 0) + 1

@@ -115,15 +115,28 @@ class FieldRealization:
     p: np.ndarray
 
 
-def sample_points(r: int, d: int, seed, M: int) -> SamplingInstance:
-    """Draw r uniform sample points in [0,1)^d for bandwidth order M."""
+def _coefficient_count(d: int, M: int) -> int:
+    """N = (2M+1)^d, after checking that d and M are valid."""
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
     if M < 0:
         raise ValueError(f"M must be non-negative, got {M}")
+    return (2 * M + 1) ** d
+
+
+def _sizes(d: int, M: int, beta: float) -> tuple:
+    """Validated (N, r) of a trial, with r = round(N / beta) but at least N + 1."""
+    n_coeff = _coefficient_count(d, M)
+    if not 0 < beta < 1:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    return n_coeff, max(round(n_coeff / beta), n_coeff + 1)
+
+
+def sample_points(r: int, d: int, seed, M: int) -> SamplingInstance:
+    """Draw r uniform sample points in [0,1)^d for bandwidth order M."""
+    n_coeff = _coefficient_count(d, M)
     if r < 1:
         raise ValueError(f"number of samples must be positive, got {r}")
-    n_coeff = (2 * M + 1) ** d
     beta = n_coeff / r
     if not 0 < beta < 1:
         raise ValueError(
@@ -135,10 +148,7 @@ def sample_points(r: int, d: int, seed, M: int) -> SamplingInstance:
 
 def instance_for(d: int, M: int, beta: float, seed) -> SamplingInstance:
     """Instance with r = round(N / beta); the exact beta is recomputed from r."""
-    if not 0 < beta < 1:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    n_coeff = (2 * M + 1) ** d
-    r = max(round(n_coeff / beta), n_coeff + 1)
+    _, r = _sizes(d, M, beta)
     return sample_points(r, d, seed, M)
 
 
@@ -183,8 +193,7 @@ def estimate_bytes(d: int, M: int, beta: float) -> int:
     numpy's linalg extension. That copy is allocated outside numpy's array
     allocator, so tracemalloc does not see it.
     """
-    n_coeff = (2 * M + 1) ** d
-    r = max(round(n_coeff / beta), n_coeff + 1)
+    n_coeff, r = _sizes(d, M, beta)
     return max(_gram_bytes(d, M, r), 16 * n_coeff**2)
 
 
@@ -202,9 +211,14 @@ def check_trial_budget(d: int, M: int, beta: float, trials: int, threads: int = 
     """Raise CapacityError unless the trials that run at once fit the budget.
 
     ``threads`` workers run min(threads, trials) trials concurrently, each
-    with the working set of :func:`estimate_bytes`.
+    with the working set of :func:`estimate_bytes`. Invalid parameters
+    raise ValueError before any work.
     """
-    concurrent = max(1, min(threads, trials))
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    if threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
+    concurrent = min(threads, trials)
     _check_budget(concurrent * estimate_bytes(d, M, beta), max_bytes,
                   f"{concurrent} concurrent trial(s) at d={d}, M={M}, beta={beta}")
 
@@ -445,8 +459,6 @@ def collect_spectra(d: int, M: int, beta: float, trials: int, seed,
     Trial t uses the stream key (seed, t), so the returned list is a pure
     function of the arguments; the thread count only affects wall time.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     check_trial_budget(d, M, beta, trials, threads, max_bytes)
     base = _seed_entropy(seed)
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .combinatorics import (
     MAX_ORDER,
     bell,
+    catalan,
     iter_partition_paths,
     narayana,
     transition_multigraph,
@@ -47,12 +48,12 @@ class MomentExpansion:
         return {(t.volume, t.k): t.multiplicity for t in self.terms}
 
 
-def moment_expansion(p: int, max_order: int = MAX_ORDER) -> MomentExpansion:
+def moment_expansion(p: int) -> MomentExpansion:
     """Aggregate volume coefficients over all partition paths of order p.
 
     Terms are keyed by the exact rational volume and the block count of the
     unreduced path, and come out sorted by (k, volume) so the expansion is
-    deterministic. Orders beyond ``max_order`` are refused up front.
+    deterministic. Orders beyond ``MAX_ORDER`` are refused up front.
 
     A volume depends only on the path's transition multigraph, so paths are
     counted by labelled multigraph in one pass, and ``volume_of`` is asked
@@ -60,9 +61,9 @@ def moment_expansion(p: int, max_order: int = MAX_ORDER) -> MomentExpansion:
     """
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
-    if p > max_order:
+    if p > MAX_ORDER:
         raise CapacityError(
-            f"moment order {p} exceeds the configured maximum {max_order}"
+            f"moment order {p} exceeds the configured maximum {MAX_ORDER}"
         )
     # Paths per labelled multigraph, and the first path of each.
     counts: dict = {}
@@ -96,17 +97,12 @@ def moment_eval(expansion: MomentExpansion, d: int, beta, exact: bool = False):
     """
     check_d(d)
     beta = check_beta(beta, exact)
-    if exact:
-        return sum(
-            t.multiplicity * t.volume**d * beta ** (expansion.p - t.k)
-            for t in expansion.terms
-        )
-    return float(
-        sum(
-            t.multiplicity * float(t.volume) ** d * beta ** (expansion.p - t.k)
-            for t in expansion.terms
-        )
+    total = sum(
+        t.multiplicity * (t.volume if exact else float(t.volume)) ** d
+        * beta ** (expansion.p - t.k)
+        for t in expansion.terms
     )
+    return total if exact else float(total)
 
 
 def moment_limit(p: int, beta) -> float:
@@ -123,8 +119,6 @@ def crossing_envelope(p: int, d: int) -> float:
     Crossing paths are the only contributors to the gap; there are
     B(p) - Catalan(p) of them, each with v^d <= (2/3)^d and beta power <= 1.
     """
-    from .combinatorics import catalan
-
     check_d(d)
     return float((bell(p) - catalan(p)) * (Fraction(2, 3) ** d))
 

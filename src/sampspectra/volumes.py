@@ -8,10 +8,11 @@ in (2M+1) of degree p - k + 1, and its leading coefficient is the path's
 volume coefficient v, a rational number in [0, 1]. v = 1 exactly when the
 path reduces to the empty path; crossing survivors have v <= 2/3.
 
-The module computes zeta_M exactly with integer arithmetic, recovers v by
-interpolating the polynomial through D + 1 exact counts (then verifying it
-on two more), and offers an independent floating-point cross-check that
-evaluates v as an iterated integral of products of sinc factors.
+The module computes zeta_M exactly with integer arithmetic, recovers v as
+the leading Newton divided difference of D + 3 exact counts, with the next
+two checked to be zero, and offers an independent floating-point
+cross-check that evaluates v as an iterated integral of products of sinc
+factors.
 """
 
 from __future__ import annotations
@@ -27,55 +28,34 @@ from .combinatorics import (
     PathLike,
     multigraph_class,
     reduce_path,
-    transition_multigraph,
 )
 from .errors import ConvergenceError, IntegrityError
 
 
 @dataclass(frozen=True)
-class ConstraintSystem:
-    """Integer constraint matrix of a partition path.
-
-    Row j says: the variables at block j's positions sum to the same value
-    as the variables at those positions' circular successors. Entries lie
-    in {-1, 0, 1}, every column sums to zero, and the rank is exactly k - 1
-    (the k rows always carry one redundancy).
-    """
-
-    W: tuple
-    p: int
-    k: int
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.W, dtype=np.int64)
-
-
-@dataclass(frozen=True)
 class VolumeResult:
-    """Exact volume coefficient plus the interpolation evidence behind it."""
+    """Exact volume coefficient plus the lattice counts behind it."""
 
     exact: Fraction
     degree: int
     fit_points: tuple
 
 
-def constraint_system(path: PathLike) -> ConstraintSystem:
-    """Build the k x p constraint matrix of a non-empty partition path."""
+def constraint_system(path: PathLike) -> np.ndarray:
+    """Integer k x p constraint matrix of a non-empty partition path.
+
+    Row j - 1 says: the variables at block j's positions sum to the same
+    value as the variables at those positions' circular successors. Entries
+    lie in {-1, 0, 1}, every column sums to zero, and the rank is exactly
+    k - 1 (the k rows always carry one redundancy).
+    """
     path = PartitionPath.of(path)
     if path.p == 0:
         raise ValueError("constraint system needs a non-empty path")
-    p, k = path.p, path.k
-    labels = path.labels
-    rows = []
-    for j in range(1, k + 1):
-        row = [0] * p
-        for i in range(p):
-            if labels[i] == j:
-                row[i] += 1
-            if labels[i - 1] == j:  # circular predecessor (labels[-1] wraps)
-                row[i] -= 1
-        rows.append(tuple(row))
-    return ConstraintSystem(W=tuple(rows), p=p, k=k)
+    labels = np.array(path.labels)
+    blocks = np.arange(1, path.k + 1)[:, None]
+    # Column i is +1 at block labels[i] and -1 at block labels[i - 1].
+    return (labels == blocks).astype(np.int64) - (np.roll(labels, 1) == blocks)
 
 
 # --- exact lattice counting -------------------------------------------------
@@ -100,13 +80,13 @@ def zeta_count(path: PathLike, M: int) -> int:
     if k == 1:
         # The single constraint telescopes to 0 = 0 around the circle.
         return (2 * M + 1) ** p
-    system = constraint_system(path)
     # Any one row is implied by the others; dropping the block that contains
     # position p removes the only row whose support wraps past the end,
     # which keeps the active windows short.
     drop = path.labels[-1] - 1
-    kept = [np.array(system.W[j], dtype=np.int64) for j in range(k) if j != drop]
-    kept = [row for row in kept if np.any(row)]
+    kept = [
+        row for j, row in enumerate(constraint_system(path)) if j != drop and row.any()
+    ]
 
     dtype = object if (2 * M + 1) ** p >= 2**62 else np.int64
     supports = [np.nonzero(row)[0] for row in kept]
@@ -172,61 +152,40 @@ def zeta_count(path: PathLike, M: int) -> int:
     return count * (2 * M + 1) ** free_exponent
 
 
-# --- exact volume via polynomial interpolation ------------------------------
-
-
-def _poly_coeffs(xs, ys):
-    """Exact power-basis coefficients (ascending) through the given points."""
-    xs = [Fraction(x) for x in xs]
-    table = [Fraction(y) for y in ys]
-    newton = [table[0]]
-    for level in range(1, len(xs)):
-        table = [
-            (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-            for i in range(len(table) - 1)
-        ]
-        newton.append(table[0])
-    poly = [newton[-1]]
-    for i in range(len(xs) - 2, -1, -1):
-        shifted = [Fraction(0)] + poly
-        poly = [a - xs[i] * b for a, b in zip(shifted[:-1], poly)] + [shifted[-1]]
-        poly[0] += newton[i]
-    return poly
-
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+# --- exact volume as a divided difference ----------------------------------
 
 
 def volume_exact(path: PathLike) -> VolumeResult:
     """Exact volume coefficient of a path.
 
-    Interpolates zeta_M as a polynomial in (2M+1) through M = 0..D with
-    D = p - k + 1, verifies the fit on M = D+1 and D+2, and returns the
-    leading coefficient. The empty path has volume 1 by convention.
+    Counts zeta_M at M = 0..D+2 with D = p - k + 1 and takes the Newton
+    divided differences of the counts over x = 2M + 1. Entry D is the
+    leading coefficient of the degree-D polynomial, and entries D+1 and D+2
+    must vanish. The empty path has volume 1 by convention.
     """
     path = PartitionPath.of(path)
     if path.p == 0:
         return VolumeResult(exact=Fraction(1), degree=0, fit_points=((0, 1),))
     degree = path.p - path.k + 1
-    points = [(M, zeta_count(path, M)) for M in range(degree + 1)]
-    coeffs = _poly_coeffs([2 * M + 1 for M, _ in points], [z for _, z in points])
+    points = tuple((M, zeta_count(path, M)) for M in range(degree + 3))
+    # Entry M of diffs is the divided difference over x_0..x_M. The nodes
+    # x_M = 2M + 1 are 2 apart, so level L divides by 2L.
+    table = [Fraction(z) for _, z in points]
+    diffs = [table[0]]
+    for level in range(1, degree + 3):
+        table = [(b - a) / (2 * level) for a, b in zip(table, table[1:])]
+        diffs.append(table[0])
     for M in (degree + 1, degree + 2):
-        z = zeta_count(path, M)
-        predicted = _poly_eval(coeffs, 2 * M + 1)
-        if predicted != z:
+        if diffs[M]:
             raise IntegrityError(
-                f"lattice count mismatch at M={M}: counted {z}, "
-                f"degree-{degree} fit predicts {predicted}"
+                f"lattice count mismatch at M={M}: counts at M=0..{M} have "
+                f"divided difference {diffs[M]}, not 0 as for a degree-{degree} "
+                f"polynomial"
             )
-        points.append((M, z))
-    exact = coeffs[-1]
+    exact = diffs[degree]
     if not 0 <= exact <= 1:
         raise IntegrityError(f"volume coefficient {exact} outside [0, 1]")
-    return VolumeResult(exact=exact, degree=degree, fit_points=tuple(points))
+    return VolumeResult(exact=exact, degree=degree, fit_points=points)
 
 
 _volume_cache: dict = {}
@@ -242,7 +201,7 @@ def volume_of(path: PathLike) -> Fraction:
     the path and counts its lattice points.
     """
     path = PartitionPath.of(path)
-    key = multigraph_class(transition_multigraph(path.labels))
+    key = multigraph_class(path.labels)
     cached = _volume_cache.get(key)
     if cached is None:
         cached = volume_exact(reduce_path(path)).exact

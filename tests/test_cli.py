@@ -241,6 +241,36 @@ class TestArgparse:
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("grid", [
+        "0:inf:5", "-inf:0:5", "nan:0:5", "0:30:nan", "0:30:inf",
+    ])
+    def test_non_finite_snr_grid_exits_two(self, grid, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["mp", "--beta", "0.5", f"--snr-grid={grid}"])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("snr", [",", "10, ,20"])
+    def test_malformed_snr_list_exits_two(self, snr, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--trials", "1",
+                  "--snr", snr])
+        assert info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--trials", "1"],
+        ["mp", "--beta", "0.5"],
+    ])
+    @pytest.mark.parametrize("snr", ["-inf", "10,nan"])
+    def test_snr_below_any_level_exits_two(self, command, snr, monkeypatch, capsys):
+        def trials_not_allowed(*args, **kwargs):
+            raise AssertionError("trials ran before the SNR check")
+
+        monkeypatch.setattr(sampspectra.cli, "collect_spectra", trials_not_allowed)
+        assert main(command + [f"--snr={snr}"]) == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_exit_two(self, threads, capsys):
         with pytest.raises(SystemExit) as info:

@@ -85,9 +85,6 @@ class TestEnumeration:
     def test_order_cap(self):
         with pytest.raises(CapacityError):
             enumerate_partitions(MAX_ORDER + 1)
-        assert len(enumerate_partitions(4, max_order=4).paths) == 15
-        with pytest.raises(CapacityError):
-            enumerate_partitions(5, max_order=4)
 
 
 class TestCountingFunctions:

@@ -361,6 +361,25 @@ class TestCollect:
             with pytest.raises(CapacityError):
                 check_trial_budget(d, M, 0.5, 1)
 
+    @pytest.mark.parametrize("d, M, beta", [
+        (0, 3, 0.5), (1, -1, 0.5), (1, 3, 1.0), (1, 3, 0.0), (1, 3, float("nan")),
+    ])
+    def test_invalid_sizes_are_rejected(self, d, M, beta):
+        with pytest.raises(ValueError):
+            estimate_bytes(d, M, beta)
+        with pytest.raises(ValueError):
+            check_trial_budget(d, M, beta, trials=1)
+
+    @pytest.mark.parametrize("trials, threads", [(0, 1), (1, 0), (2, -1)])
+    def test_nonpositive_counts_fail_before_work(self, trials, threads, monkeypatch):
+        built = []
+        monkeypatch.setattr(field_sim, "build_T", lambda *a, **k: built.append(a))
+        with pytest.raises(ValueError):
+            check_trial_budget(1, 3, 0.5, trials, threads)
+        with pytest.raises(ValueError):
+            collect_spectra(1, 3, 0.5, trials=trials, seed=0, threads=threads)
+        assert built == []
+
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", "10000")
         with pytest.raises(CapacityError):

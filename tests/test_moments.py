@@ -76,8 +76,6 @@ class TestExpansionStructure:
     def test_order_cap(self):
         with pytest.raises(CapacityError):
             moment_expansion(13)
-        with pytest.raises(CapacityError):
-            moment_expansion(7, max_order=6)
 
 
 class TestEvaluation:
