@@ -143,6 +143,9 @@ def sample_points(r: int, d: int, seed, M: int) -> SamplingInstance:
             f"r={r} does not oversample N={n_coeff} coefficients (beta={beta})"
         )
     X = rng_for(seed).random((r, d))
+    # Read-only, so that nothing keyed on the instance (see _normal_system)
+    # can go stale.
+    X.flags.writeable = False
     return SamplingInstance(d=d, M=M, r=r, beta=beta, X=X, seed=seed)
 
 
@@ -409,7 +412,46 @@ def draw_realization(instance: SamplingInstance, alpha: float, seed, G=None) -> 
     noise = np.sqrt(alpha / 2) * (
         rng.standard_normal(instance.r) + 1j * rng.standard_normal(instance.r)
     )
-    return FieldRealization(a=a, n=noise, p=G.conj().T @ a + noise)
+    # conj(a* G) is G* a without a conjugated copy of G.
+    return FieldRealization(a=a, n=noise, p=(a.conj() @ G).conj() + noise)
+
+
+# The last (instance, alpha) that _normal_system built, with its A, A^(-1)
+# and ||A||_F; None before the first reconstruction.
+_normal_slot = None
+
+
+def _normal_system(instance: SamplingInstance, alpha: float):
+    """(A, A^(-1), ||A||_F) for the real normal matrix A = R / beta + alpha I.
+
+    One module-level slot holds the last (instance, alpha), keyed on the
+    instance's identity, so draws against a fixed (instance, alpha) build
+    and invert A once. The slot keeps its instance alive, so that identity
+    is never reused, and :func:`sample_points` makes X read-only. A miss
+    drops the held pair before building the next, so one pair (16 N^2
+    bytes) stays resident at most. numpy has no triangular solve, so the
+    explicit inverse is the reusable factor. The budget check counts the
+    larger of :func:`build_T`'s peak and the 32 N^2 bytes of A, its inverse
+    and the two N^2 buffers ``inv`` allocates inside numpy's linalg
+    extension, where tracemalloc does not see them.
+    """
+    global _normal_slot
+    slot = _normal_slot
+    if slot is not None and slot[0] is instance and slot[1] == alpha:
+        return slot[2:]
+    # Release the held pair, this local reference included, before building.
+    slot = _normal_slot = None
+    d, M, r = instance.d, instance.M, instance.r
+    n_coeff = (2 * M + 1) ** d
+    _check_budget(max(_gram_bytes(d, M, r), 32 * n_coeff**2), None,
+                  "build_T and the inverse of the normal matrix")
+    A = build_T(instance)
+    A /= instance.beta
+    A[np.diag_indices_from(A)] += alpha
+    A_inv = np.linalg.inv(A)
+    A.flags.writeable = A_inv.flags.writeable = False
+    slot = _normal_slot = (instance, alpha, A, A_inv, float(np.linalg.norm(A)))
+    return slot[2:]
 
 
 def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
@@ -421,26 +463,26 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     :func:`build_T` the normal matrix is A = R / beta + alpha I, so the
     system A y = U* G p is real, with the real and imaginary parts of the
     right-hand side as two columns, and a_hat = U y. U is unitary, so the
-    residual check reads the same in either frame.
+    residual check reads the same in either frame. A and its inverse come
+    from :func:`_normal_system`, built on the first draw at this (instance,
+    alpha); each draw applies the inverse and one step of iterative
+    refinement.
     Requires alpha > 0 so the normal matrix stays positive definite.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    A, A_inv, A_norm = _normal_system(instance, alpha)
     if G is None:
         G = build_G(instance)
     n_coeff = G.shape[0]
-    A = build_T(instance)
-    A /= instance.beta
-    A[np.diag_indices_from(A)] += alpha
     b = G @ realization.p
     # U* b = (b - i J b) / sqrt(2); J reverses the order of the coefficients.
     c = (b - 1j * b[::-1]) / np.sqrt(2)
     B = np.stack([c.real, c.imag], axis=1)
-    Y = np.linalg.solve(A, B)
+    Y = A_inv @ B
+    Y += A_inv @ (B - A @ Y)
     residual = np.linalg.norm(A @ Y - B)
-    allowed = _RESIDUAL_TOL * (
-        np.linalg.norm(A) * np.linalg.norm(Y) + np.linalg.norm(B)
-    )
+    allowed = _RESIDUAL_TOL * (A_norm * np.linalg.norm(Y) + np.linalg.norm(B))
     if residual > allowed:
         raise IntegrityError(f"solver residual {residual} exceeds {allowed}")
     y = Y[:, 0] + 1j * Y[:, 1]

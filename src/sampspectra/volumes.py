@@ -250,12 +250,11 @@ def volume_quadrature(path: PathLike, tolerance: float) -> float:
     uni, biv = _sinc_exponents(path)
     half_width = _BASE_HALF_WIDTH
     per_unit = _BASE_POINTS_PER_UNIT
-    previous = None
+    estimate = None
     for _ in range(_REFINEMENT_BUDGET[dim]):
-        estimate = _grid_estimate(dim, uni, biv, half_width, per_unit)
+        previous, estimate = estimate, _grid_estimate(dim, uni, biv, half_width, per_unit)
         if previous is not None and abs(estimate - previous) < tolerance:
             return estimate
-        previous = estimate
         half_width *= 2
         per_unit *= 2
     raise ConvergenceError(

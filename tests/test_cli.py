@@ -103,6 +103,16 @@ class TestVolume:
         assert doc["trace"] == [{"path": [1, 2, 1, 2], "rule": None, "index": None}]
         assert abs(doc["quadrature"] - 2 / 3) < 1e-5
 
+    @pytest.mark.parametrize("path, volume", [
+        ("1,2,3,4,1,2,3,4", "2/5"), ("1,2,3,1,4,2,3,4", "11/30"),
+    ])
+    def test_four_block_paths_cross_check(self, path, volume, capsys):
+        # Reduced paths of 4 blocks take the three-dimensional quadrature.
+        assert main(["volume", path, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["volume"] == volume
+        assert abs(doc["quadrature"] - doc["volume_float"]) < 1e-4
+
     @pytest.mark.parametrize("bad", ["1,2,x,2", "2,1", "1,3", ""])
     def test_parse_errors(self, bad, capsys):
         assert main(["volume", bad]) == 2

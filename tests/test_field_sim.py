@@ -447,6 +447,89 @@ class TestReconstruction:
             draw_realization(instance, -1.0, (0, 0))
 
 
+class TestNormalSystem:
+    """The normal matrix is built and inverted once per (instance, alpha)."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # An empty slot for the test; the one held before comes back after it.
+        monkeypatch.setattr(field_sim, "_normal_slot", None)
+        calls = []
+
+        def counted(instance, *args, **kwargs):
+            calls.append(instance)
+            return build_T(instance, *args, **kwargs)
+
+        monkeypatch.setattr(field_sim, "build_T", counted)
+        return calls
+
+    @staticmethod
+    def complex_estimate(G, p, alpha):
+        return np.linalg.solve(G @ G.conj().T + alpha * np.eye(len(G)), G @ p)
+
+    def test_draws_at_one_pair_build_once(self, builds):
+        instance = instance_for(2, 3, 0.5, 31)
+        G = build_G(instance)
+        for k in range(5):
+            realization = draw_realization(instance, 0.2, (31, k), G=G)
+            a_hat, _ = reconstruct_field(instance, realization, 0.2, G=G)
+            expected = self.complex_estimate(G, realization.p, 0.2)
+            assert np.max(np.abs(a_hat - expected)) <= 1e-10
+        assert builds == [instance]
+
+    def test_alternating_alpha_rebuilds(self, builds):
+        instance = instance_for(2, 3, 0.5, 32)
+        G = build_G(instance)
+        for k, alpha in enumerate([0.3, 0.05, 0.3]):
+            realization = draw_realization(instance, alpha, (32, k), G=G)
+            a_hat, _ = reconstruct_field(instance, realization, alpha, G=G)
+            expected = self.complex_estimate(G, realization.p, alpha)
+            assert np.max(np.abs(a_hat - expected)) <= 1e-10
+        assert builds == [instance] * 3
+
+    def test_equal_instances_are_built_apart(self, builds):
+        first, second = instance_for(1, 6, 0.5, 33), instance_for(1, 6, 0.5, 33)
+        assert np.array_equal(first.X, second.X)
+        realization = draw_realization(first, 0.1, (33, 0))
+        a_first, _ = reconstruct_field(first, realization, 0.1)
+        a_second, _ = reconstruct_field(second, realization, 0.1)
+        assert np.array_equal(a_first, a_second)
+        assert len(builds) == 2
+        assert builds[0] is first and builds[1] is second
+
+    def test_sample_points_are_read_only(self):
+        instance = instance_for(1, 4, 0.5, 34)
+        with pytest.raises(ValueError):
+            instance.X[0, 0] = 0.5
+
+    def test_budget_counts_the_inverse_before_work(self, builds, monkeypatch):
+        # At d=2, M=6 build_T's peak is below the 32 N^2 bytes of A, its
+        # inverse and inv's two buffers, so only the second count rejects.
+        instance = instance_for(2, 6, 0.5, 35)
+        n_coeff = 13**2
+        held = 32 * n_coeff**2
+        assert _gram_bytes(2, 6, instance.r) < held
+        G = build_G(instance)
+        realization = draw_realization(instance, 0.1, (35, 0), G=G)
+        monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", str(held - 1))
+        with pytest.raises(CapacityError, match="build_T"):
+            reconstruct_field(instance, realization, 0.1, G=G)
+        assert builds == []
+        monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", str(held))
+        reconstruct_field(instance, realization, 0.1, G=G)
+        assert builds == [instance]
+
+    def test_bad_inverse_fails_the_residual_check(self, builds, monkeypatch):
+        # One refinement step takes a half-scaled inverse's residual from
+        # B / 2 to B / 4, far above the 1e-8 tolerance.
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda A: 0.5 * inv(A))
+        instance = instance_for(2, 3, 0.5, 36)
+        realization = draw_realization(instance, 0.1, (36, 0))
+        with pytest.raises(IntegrityError, match="residual"):
+            reconstruct_field(instance, realization, 0.1)
+
+
 class TestRealizationContainer:
     def test_fields_are_kept_verbatim(self):
         a = np.ones(3, dtype=complex)

@@ -331,3 +331,12 @@ class TestVolumeQuadrature:
         estimates = info.value.estimates
         assert len(estimates) >= 2
         assert all(abs(e - 2 / 3) < 1e-3 for e in estimates)
+
+    def test_unconverged_error_keeps_the_last_two_estimates(self):
+        # The three-dimensional budget allows two grid estimates; both are
+        # reported, not the last one twice.
+        with pytest.raises(ConvergenceError) as info:
+            volume_quadrature(PartitionPath.of([1, 2, 3, 4, 1, 2, 3, 4]), tolerance=1e-9)
+        first, last = info.value.estimates
+        assert first != last
+        assert f"{first} and {last}" in str(info.value)
