@@ -10,11 +10,11 @@ path. A path that reduces to the empty path is exactly a non-crossing
 partition; whatever survives reduction determines the path's volume
 coefficient (see :mod:`sampspectra.volumes`).
 
-Both rules are also operations on the path's transition multigraph, whose
-edges join circularly consecutive labels: rule 2 deletes a self-loop and
-rule 1 series-reduces a vertex of degree 2. :func:`multigraph_class` applies
-them there and names the isomorphism class of what survives, which is all
-the volume depends on.
+A path that neither rule changes is a *core*: no singleton block and no two
+circularly adjacent elements in one block. :func:`iter_cores` lists the
+cores of one order, and :func:`multigraph_class` names the isomorphism
+class of a core's transition multigraph (edges join circularly consecutive
+labels), which is all the volume depends on.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from typing import Iterator, Sequence, Union
 
 from .errors import CapacityError
 
-#: Largest partition order accepted by the enumeration entry points.
-#: B(12) = 4,213,597 paths; a fully materialized catalog stays under 1 GB.
+#: Largest order accepted by the enumeration entry points, ``volume_exact`` and
+#: ``moment_expansion``. B(12) = 4,213,597 paths. The binomial identity behind
+#: ``moment_expansion`` is verified by enumeration through p = 13.
 MAX_ORDER = 12
 
 PathLike = Union["PartitionPath", Sequence[int]]
@@ -308,63 +309,56 @@ def reduce_path(path: PathLike) -> PartitionPath:
     return reduction_trace(path)[-1].path
 
 
-# --- transition multigraphs -------------------------------------------------
+# --- cores and their classes -------------------------------------------------
 
 
-def transition_multigraph(labels: Sequence[int]) -> tuple:
-    """Undirected edges between circularly consecutive labels, self-loops dropped.
+def iter_cores(e: int) -> Iterator[tuple]:
+    """Yield every core of order ``e`` (a path that :func:`reduce_path` keeps).
 
-    Edge {a, b} with a < b is coded as the integer b(b-1)/2 + a, which
-    numbers the pairs of positive labels one to one. The codes come sorted,
-    so two label sequences with the same edge multiset give equal tuples.
+    Labels are grown in restricted-growth order, never repeating the
+    previous one, and a branch stops once the blocks that still hold one
+    element outnumber the positions left. Order 0 yields the empty path.
     """
-    labels = tuple(labels)
-    edges = [
-        b * (b - 1) // 2 + a if a < b else a * (a - 1) // 2 + b
-        for a, b in zip(labels, labels[1:] + labels[:1])
-        if a != b
-    ]
-    edges.sort()
-    return tuple(edges)
+    if e < 0:
+        raise ValueError(f"order must be non-negative, got {e}")
+    labels = []
+    sizes = [0] * (e + 2)  # sizes[b] = elements placed in block b so far
+
+    def grow(k, lonely):
+        left = e - len(labels)
+        if lonely > left:
+            return
+        if not left:
+            if not labels or labels[-1] != 1:
+                yield tuple(labels)
+            return
+        for v in range(1, k + 2):
+            if labels and v == labels[-1]:
+                continue
+            sizes[v] += 1
+            labels.append(v)
+            yield from grow(max(k, v), lonely + (sizes[v] == 1) - (sizes[v] == 2))
+            labels.pop()
+            sizes[v] -= 1
+
+    return grow(0, 0)
 
 
 def multigraph_class(labels: Sequence[int]) -> tuple:
-    """Isomorphism class of the reduced transition multigraph of ``labels``.
+    """Isomorphism class of the transition multigraph of a core.
 
-    The multigraph joins circularly consecutive labels and has no
-    self-loops (see :func:`transition_multigraph`). Series-reduces degree-2
-    vertices until none is left, deleting the self-loops this closes and
-    the isolated vertices it leaves. The class is the least sorted
-    ``(i, j, multiplicity)`` edge list over the relabellings of the
-    survivors to 0..n-1 that order them by degree. Non-crossing paths give
-    the empty class ``()``.
+    The multigraph has one vertex per label and one edge per circularly
+    consecutive label pair, with no self-loops in a core. The class is the
+    least sorted ``(i, j, multiplicity)`` edge list over the relabellings of
+    the vertices to 0..n-1 that order them by degree; the empty core gives
+    ``()``. Other paths must be reduced first (:func:`reduce_path`).
     """
     labels = tuple(labels)
-    adj = {}
+    edges = {}
     for a, b in zip(labels, labels[1:] + labels[:1]):
-        if a == b:
-            continue
-        for u, w in ((a, b), (b, a)):
-            nbrs = adj.setdefault(u, {})
-            nbrs[w] = nbrs.get(w, 0) + 1
-    while True:
-        v = next((v for v, nbrs in adj.items() if sum(nbrs.values()) == 2), None)
-        if v is None:
-            break
-        nbrs = adj.pop(v)
-        for u in nbrs:
-            del adj[u][v]
-        a, b = [u for u, m in nbrs.items() for _ in range(m)]
-        if a != b:  # a == b closes a self-loop, which is deleted
-            adj[a][b] = adj[a].get(b, 0) + 1
-            adj[b][a] = adj[b].get(a, 0) + 1
-        for u in nbrs:
-            if not adj[u]:
-                del adj[u]
-    rank = {v: i for i, v in enumerate(sorted(adj))}
-    return _canonical_form(tuple(sorted(
-        (rank[u], rank[w], m) for u, nbrs in adj.items() for w, m in nbrs.items() if u < w
-    )))
+        pair = (a - 1, b - 1) if a < b else (b - 1, a - 1)
+        edges[pair] = edges.get(pair, 0) + 1
+    return _canonical_form(tuple(sorted((u, w, m) for (u, w), m in edges.items())))
 
 
 @functools.lru_cache(maxsize=None)
@@ -372,9 +366,9 @@ def _canonical_form(edges: tuple) -> tuple:
     """Least relabelled edge list of a graph on vertices 0..n-1.
 
     Only relabellings that sort vertices by degree are tried, since every
-    isomorphism preserves degree. Reduced graphs of order p have at most
-    p/2 vertices, so at p <= 12 this is at most 6! orderings. Memoized,
-    because many labelled multigraphs reduce to the same graph.
+    isomorphism preserves degree. A core of order e has at most e/2
+    vertices, so at e <= 12 this is at most 6! orderings. Memoized, because
+    many cores share one labelled multigraph.
     """
     degree = {}
     for u, w, m in edges:

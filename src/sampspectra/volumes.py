@@ -24,12 +24,13 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import (
+    MAX_ORDER,
     PartitionPath,
     PathLike,
     multigraph_class,
     reduce_path,
 )
-from .errors import ConvergenceError, IntegrityError
+from .errors import CapacityError, ConvergenceError, IntegrityError
 
 
 @dataclass(frozen=True)
@@ -161,9 +162,12 @@ def volume_exact(path: PathLike) -> VolumeResult:
     Counts zeta_M at M = 0..D+2 with D = p - k + 1 and takes the Newton
     divided differences of the counts over x = 2M + 1. Entry D is the
     leading coefficient of the degree-D polynomial, and entries D+1 and D+2
-    must vanish. The empty path has volume 1 by convention.
+    must vanish. The empty path has volume 1 by convention. Paths longer
+    than ``MAX_ORDER`` are refused before any lattice point is counted.
     """
     path = PartitionPath.of(path)
+    if path.p > MAX_ORDER:
+        raise CapacityError(f"path order {path.p} exceeds the maximum {MAX_ORDER}")
     if path.p == 0:
         return VolumeResult(exact=Fraction(1), degree=0, fit_points=((0, 1),))
     degree = path.p - path.k + 1
@@ -195,16 +199,15 @@ _cache_lock = threading.Lock()
 def volume_of(path: PathLike) -> Fraction:
     """Volume coefficient of an arbitrary path, reducing first.
 
-    Memoized on the class of the path's reduced transition multigraph
-    (:func:`~sampspectra.combinatorics.multigraph_class`), which collapses
-    an order-p catalog onto a few classes: 16 at p = 9. Only a miss reduces
-    the path and counts its lattice points.
+    Memoized on the class of the reduced path's transition multigraph
+    (:func:`~sampspectra.combinatorics.multigraph_class`): 16 classes cover
+    the 394 cores of order at most 9. Only a miss counts lattice points.
     """
-    path = PartitionPath.of(path)
-    key = multigraph_class(path.labels)
+    reduced = reduce_path(path)
+    key = multigraph_class(reduced.labels)
     cached = _volume_cache.get(key)
     if cached is None:
-        cached = volume_exact(reduce_path(path)).exact
+        cached = volume_exact(reduced).exact
         with _cache_lock:
             _volume_cache[key] = cached
     return cached

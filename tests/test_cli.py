@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import sampspectra.cli
+import sampspectra.volumes
 from sampspectra.cli import main
 from sampspectra.field_sim import estimate_bytes
 from sampspectra.marchenko_pastur import mp_lmmse, mp_moment
@@ -112,6 +113,23 @@ class TestVolume:
         doc = json.loads(capsys.readouterr().out)
         assert doc["volume"] == volume
         assert abs(doc["quadrature"] - doc["volume_float"]) < 1e-4
+
+    def test_order_fourteen_core_is_refused_before_counting(self, capsys, monkeypatch):
+        # The path is its own core, two past MAX_ORDER.
+        def never(path, M):
+            raise AssertionError("lattice points counted")
+
+        monkeypatch.setattr(sampspectra.volumes, "zeta_count", never)
+        assert main(["volume", "1,2,3,4,5,6,7,1,2,3,4,5,6,7"]) == 3
+        captured = capsys.readouterr()
+        assert "capacity error" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_long_path_reducing_to_nothing(self, capsys):
+        assert main(["volume", ",".join(map(str, range(1, 21)))]) == 0
+        out = capsys.readouterr().out
+        assert "[]" in out and "volume = 1" in out
 
     @pytest.mark.parametrize("bad", ["1,2,x,2", "2,1", "1,3", ""])
     def test_parse_errors(self, bad, capsys):

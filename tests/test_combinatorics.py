@@ -10,6 +10,7 @@ from sampspectra.combinatorics import (
     catalan,
     enumerate_partitions,
     is_crossing,
+    iter_cores,
     iter_partition_paths,
     narayana,
     reduce_path,
@@ -207,3 +208,18 @@ class TestReduction:
             for labels in iter_partition_paths(p):
                 if not is_crossing(labels):
                     assert reduce_path(labels).labels == ()
+
+
+class TestCores:
+    @pytest.mark.parametrize("e", range(10))
+    def test_cores_are_the_fixed_points_of_reduction(self, e):
+        cores = list(iter_cores(e))
+        fixed = {w for w in iter_partition_paths(e) if reduce_path(w).labels == w}
+        assert len(cores) == len(set(cores))
+        assert set(cores) == fixed
+
+    def test_core_counts(self):
+        counts = [sum(1 for _ in iter_cores(e)) for e in range(10)]
+        assert counts == [1, 0, 0, 0, 1, 0, 5, 14, 66, 307]
+        with pytest.raises(ValueError):
+            list(iter_cores(-1))

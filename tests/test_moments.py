@@ -1,8 +1,17 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from sampspectra.combinatorics import iter_partition_paths, narayana, reduce_path, stirling2
+from sampspectra.combinatorics import (
+    iter_cores,
+    iter_partition_paths,
+    multigraph_class,
+    narayana,
+    reduce_path,
+    stirling2,
+)
 from sampspectra.errors import CapacityError
 from sampspectra.moments import (
     crossing_envelope,
@@ -63,14 +72,37 @@ class TestExpansionStructure:
             reference[key] = reference.get(key, 0) + 1
         assert moment_expansion(p).term_map() == reference
 
-    def test_tenth_order_structure(self):
+    def test_class_counts_are_binomial(self):
+        # Partitions per (core class, block count), counted by enumeration,
+        # against A_c C(p, k - v_c) C(p, k + e_c - v_c). The empty class
+        # holds the non-crossing partitions, counted by Narayana numbers.
+        cores = Counter(
+            multigraph_class(core) for e in range(1, 10) for core in iter_cores(e)
+        )
+        for p in range(1, 10):
+            counted = Counter(
+                (multigraph_class(reduce_path(labels).labels), max(labels))
+                for labels in iter_partition_paths(p)
+            )
+            expected = {((), k): narayana(p, k) for k in range(1, p + 1)}
+            for cls, count in cores.items():
+                e = sum(m for _, _, m in cls)
+                v = 1 + max(w for _, w, _ in cls)
+                for k in range(v, p + 1):
+                    n = count * math.comb(p, k - v) * math.comb(p, k + e - v)
+                    if n:
+                        expected[(cls, k)] = n
+            assert counted == expected, p
+
+    @pytest.mark.parametrize("p", [10, 11])
+    def test_tenth_order_structure(self, p):
         by_k = {}
-        for t in moment_expansion(10).terms:
+        for t in moment_expansion(p).terms:
             by_k.setdefault(t.k, []).append(t)
-        assert sorted(by_k) == list(range(1, 11))
+        assert sorted(by_k) == list(range(1, p + 1))
         for k, terms in by_k.items():
-            assert sum(t.multiplicity for t in terms) == stirling2(10, k)
-            assert sum(t.multiplicity for t in terms if t.volume == 1) == narayana(10, k)
+            assert sum(t.multiplicity for t in terms) == stirling2(p, k)
+            assert sum(t.multiplicity for t in terms if t.volume == 1) == narayana(p, k)
             assert all(0 < t.volume <= Fraction(2, 3) for t in terms if t.volume != 1)
 
     def test_order_cap(self):
