@@ -122,6 +122,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _snr_grid(text: str) -> list:
     pieces = text.split(":")
     if len(pieces) != 3:
@@ -336,10 +343,10 @@ def _add_output_flags(sub):
 
 def _add_sim_flags(sub):
     sub.add_argument("--trials", type=int, default=50)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_non_negative_int, default=0)
     sub.add_argument("--threads", type=_positive_int, default=1,
                      help="trial-level worker threads; never affects the output")
-    sub.add_argument("--max-mem", type=int, default=None,
+    sub.add_argument("--max-mem", type=_positive_int, default=None,
                      help="memory budget in bytes (default 2 GiB or "
                           "SAMPSPECTRA_MAX_MEM)")
 
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("mp", help="closed-form MP moments or LMMSE error")
     sub.add_argument("--beta", type=_float_list, required=True, help="comma list")
-    sub.add_argument("--p", type=int, default=None,
+    sub.add_argument("--p", type=_positive_int, default=None,
                      help="emit limit moments for orders 1..p")
     sub.add_argument("--snr", type=_float_list, default=None)
     sub.add_argument("--snr-grid", type=_snr_grid, default=None)

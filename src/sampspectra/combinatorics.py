@@ -3,12 +3,13 @@
 A partition is carried as the sequence ``(w_1, ..., w_p)`` where ``w_i`` is
 the index of the block containing element ``i`` and blocks are numbered by
 first appearance, so ``w_1 = 1`` and ``w_{i+1} <= 1 + max(w_1..w_i)``.
-Alongside enumeration and the classical counting sequences (Bell, Stirling,
-Narayana, Catalan) this module implements the volume-preserving reduction
-rules that strip singleton blocks and circularly adjacent repeats from a
-path. A path that reduces to the empty path is exactly a non-crossing
-partition; whatever survives reduction determines the path's volume
-coefficient (see :mod:`sampspectra.volumes`).
+Alongside lazy enumeration (:func:`iter_partition_paths`), the crossing test
+and the classical counting sequences (Bell, Stirling, Narayana, Catalan),
+this module implements the volume-preserving reduction rules that strip
+singleton blocks and circularly adjacent repeats from a path. A path
+that reduces to the empty path is exactly a non-crossing partition;
+whatever survives reduction determines the path's volume coefficient (see
+:mod:`sampspectra.volumes`).
 
 A path that neither rule changes is a *core*: no singleton block and no two
 circularly adjacent elements in one block. :func:`iter_cores` lists the
@@ -25,11 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-from .errors import CapacityError
-
-#: Largest order accepted by the enumeration entry points, ``volume_exact`` and
-#: ``moment_expansion``. B(12) = 4,213,597 paths. The binomial identity behind
-#: ``moment_expansion`` is verified by enumeration through p = 13.
+#: Largest order accepted by ``volume_exact`` and ``moment_expansion``. The
+#: binomial identity behind ``moment_expansion`` is verified by enumeration
+#: through p = 13.
 MAX_ORDER = 12
 
 PathLike = Union["PartitionPath", Sequence[int]]
@@ -74,41 +73,8 @@ class PartitionPath:
         """Number of blocks (0 for the empty path)."""
         return max(self.labels) if self.labels else 0
 
-    def blocks(self) -> list:
-        """Positions (1-based) of each block, indexed by block label - 1."""
-        out = [[] for _ in range(self.k)]
-        for pos, v in enumerate(self.labels, start=1):
-            out[v - 1].append(pos)
-        return [tuple(b) for b in out]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __iter__(self):
-        return iter(self.labels)
-
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.labels) + "]"
-
-
-@dataclass(frozen=True)
-class PartitionCatalog:
-    """All partitions of a given order, grouped by block count."""
-
-    p: int
-    paths: tuple
-
-    def by_block_count(self, k: int) -> list:
-        return [w for w in self.paths if w.k == k]
-
-    def counts_by_block_count(self) -> dict:
-        out = {}
-        for w in self.paths:
-            out[w.k] = out.get(w.k, 0) + 1
-        return out
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 def iter_partition_paths(p: int) -> Iterator[tuple]:
@@ -132,23 +98,6 @@ def iter_partition_paths(p: int) -> Iterator[tuple]:
         for j in range(i + 1, p):
             w[j] = 1
             mx[j] = mx[i]
-
-
-def enumerate_partitions(p: int) -> PartitionCatalog:
-    """Materialize the catalog of all partitions of order ``p``.
-
-    Raises :class:`CapacityError` beyond ``MAX_ORDER``; the catalog size is
-    the Bell number B(p), which grows too fast to materialize casually.
-    """
-    if p < 1:
-        raise ValueError(f"order must be at least 1, got {p}")
-    if p > MAX_ORDER:
-        raise CapacityError(
-            f"order {p} exceeds the configured maximum {MAX_ORDER} "
-            f"(B({p}) = {bell(p)} paths)"
-        )
-    paths = tuple(PartitionPath(w) for w in iter_partition_paths(p))
-    return PartitionCatalog(p=p, paths=paths)
 
 
 # --- counting sequences ---------------------------------------------------
@@ -200,34 +149,11 @@ def _check_pk(p, k):
 
 def is_crossing(path: PathLike) -> bool:
     """True when some a < b < c < d has a,c in one block and b,d in another."""
-    path = PartitionPath.of(path)
-    blocks = path.blocks()
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if _interleaved(blocks[i], blocks[j]):
-                return True
-    return False
-
-
-def _interleaved(a, b):
-    # Merge the two ascending position tuples and count membership runs;
-    # four or more runs means the blocks cross.
-    ia = ib = 0
-    runs = 0
-    last = None
-    while ia < len(a) or ib < len(b):
-        if ib >= len(b) or (ia < len(a) and a[ia] < b[ib]):
-            cur = 0
-            ia += 1
-        else:
-            cur = 1
-            ib += 1
-        if cur != last:
-            runs += 1
-            last = cur
-            if runs >= 4:
-                return True
-    return False
+    w = PartitionPath.of(path).labels
+    return any(
+        w[a] == w[c] != w[b] == w[d]
+        for a, b, c, d in itertools.combinations(range(len(w)), 4)
+    )
 
 
 # --- reduction ------------------------------------------------------------

@@ -55,7 +55,15 @@ def _resolve_budget(max_bytes):
     if max_bytes is not None:
         return int(max_bytes)
     env = os.environ.get(MEMORY_ENV_VAR)
-    return int(env) if env else DEFAULT_MEMORY_BUDGET
+    if not env:
+        return DEFAULT_MEMORY_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{MEMORY_ENV_VAR} must be a positive number of bytes, got {env!r}")
+    return budget
 
 
 # --- index bookkeeping -------------------------------------------------------
@@ -229,10 +237,10 @@ def check_trial_budget(d: int, M: int, beta: float, trials: int, threads: int = 
 # --- matrices and spectra -----------------------------------------------------
 
 
-def build_G(instance: SamplingInstance, max_bytes=None) -> np.ndarray:
+def build_G(instance: SamplingInstance) -> np.ndarray:
     """Synthesis matrix: G[nu(ell), q] = N^(-1/2) exp(-2 pi j x_q . ell)."""
     n_coeff = (2 * instance.M + 1) ** instance.d
-    _check_budget(24 * n_coeff * instance.r, max_bytes, "build_G")
+    _check_budget(24 * n_coeff * instance.r, None, "build_G")
     grid = frequency_grid(instance.M, instance.d)
     phase = grid.astype(float) @ instance.X.T
     return np.exp(-2j * np.pi * phase) / np.sqrt(n_coeff)
@@ -400,12 +408,13 @@ def empirical_lmmse(sample: SpectrumSample, alpha: float) -> float:
 # --- field synthesis and reconstruction --------------------------------------
 
 
-def draw_realization(instance: SamplingInstance, alpha: float, seed, G=None) -> FieldRealization:
-    """Draw unit-variance coefficients and noise of variance alpha; p = G* a + n."""
+def draw_realization(instance: SamplingInstance, alpha: float, seed, G) -> FieldRealization:
+    """Draw unit-variance coefficients and noise of variance alpha; p = G* a + n.
+
+    ``G`` is the instance's synthesis matrix from :func:`build_G`.
+    """
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
-    if G is None:
-        G = build_G(instance)
     n_coeff = G.shape[0]
     rng = rng_for(_seed_entropy(seed))
     a = (rng.standard_normal(n_coeff) + 1j * rng.standard_normal(n_coeff)) / np.sqrt(2)
@@ -455,10 +464,11 @@ def _normal_system(instance: SamplingInstance, alpha: float):
 
 
 def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
-                      alpha: float, G=None):
+                      alpha: float, G):
     """LMMSE estimate of the coefficients from the noisy samples.
 
-    Solves (G G* + alpha I) a_hat = G p and returns (a_hat, mse) with
+    ``G`` is the instance's synthesis matrix from :func:`build_G`. Solves
+    (G G* + alpha I) a_hat = G p and returns (a_hat, mse) with
     mse = ||a_hat - a||^2 / N for this single draw. In the real frame of
     :func:`build_T` the normal matrix is A = R / beta + alpha I, so the
     system A y = U* G p is real, with the real and imaginary parts of the
@@ -472,8 +482,6 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     A, A_inv, A_norm = _normal_system(instance, alpha)
-    if G is None:
-        G = build_G(instance)
     n_coeff = G.shape[0]
     b = G @ realization.p
     # U* b = (b - i J b) / sqrt(2); J reverses the order of the coefficients.

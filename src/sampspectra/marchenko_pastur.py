@@ -11,7 +11,7 @@ power ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,8 @@ class MPParams:
     """Support edges of the Marchenko-Pastur law for a given beta."""
 
     beta: float
-    c1: float = None
-    c2: float = None
+    c1: float = field(init=False)
+    c2: float = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.beta <= 1:

@@ -90,9 +90,7 @@ def zeta_count(path: PathLike, M: int) -> int:
     ]
 
     dtype = object if (2 * M + 1) ** p >= 2**62 else np.int64
-    supports = [np.nonzero(row)[0] for row in kept]
-    starts = [int(s[0]) for s in supports]
-    ends = [int(s[-1]) for s in supports]
+    starts = [int(np.flatnonzero(row)[0]) for row in kept]
 
     state = np.ones((), dtype=dtype)
     active = []  # indices into kept, in axis order

@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,8 @@ from sampspectra.combinatorics import (
     PartitionPath,
     bell,
     catalan,
-    enumerate_partitions,
     is_crossing,
+    iter_partition_paths,
     narayana,
     reduction_trace,
     stirling2,
@@ -111,16 +112,16 @@ def test_criterion_03_step_by_step_reduction_traces():
 def test_criterion_04_partition_counts():
     start = time.perf_counter()
     for p in range(1, 9):
-        catalog = enumerate_partitions(p)
-        assert len(catalog.paths) == bell(p)
-        non_crossing = 0
+        paths = Counter()
+        non_crossing = Counter()
+        for w in iter_partition_paths(p):
+            paths[max(w)] += 1
+            non_crossing[max(w)] += not is_crossing(w)
+        assert sum(paths.values()) == bell(p)
+        assert sum(non_crossing.values()) == catalan(p)
         for k in range(1, p + 1):
-            paths_k = catalog.by_block_count(k)
-            assert len(paths_k) == stirling2(p, k)
-            per_k = sum(1 for w in paths_k if not is_crossing(w))
-            assert per_k == narayana(p, k)
-            non_crossing += per_k
-        assert non_crossing == catalan(p)
+            assert paths[k] == stirling2(p, k)
+            assert non_crossing[k] == narayana(p, k)
     assert bell(4) == 15
     assert bell(10) == 115975
     elapsed = time.perf_counter() - start
@@ -133,7 +134,7 @@ def test_criterion_05_crossing_volume_bound():
     crossing_max = Fraction(0)
     checked = 0
     for p in range(1, 9):
-        for labels in enumerate_partitions(p).paths:
+        for labels in iter_partition_paths(p):
             volume = volume_of(labels)
             checked += 1
             if is_crossing(labels):

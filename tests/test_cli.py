@@ -311,6 +311,34 @@ class TestArgparse:
         assert main(["spectrum", "--d", "1", "--M", "-1", "--beta", "0.5"]) == 2
         assert "M must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["mp", "--beta", "0.5", "--p", "0"], "--p"),
+        (["mp", "--beta", "0.5", "--p", "-1"], "--p"),
+        (["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--snr", "10",
+          "--seed", "-1"], "--seed"),
+        (["spectrum", "--d", "1", "--M", "2", "--beta", "0.5", "--seed", "-1"], "--seed"),
+        (["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--snr", "10",
+          "--max-mem", "0"], "--max-mem"),
+        (["spectrum", "--d", "1", "--M", "2", "--beta", "0.5", "--max-mem", "-5"],
+         "--max-mem"),
+    ])
+    def test_unusable_integer_flag_is_named(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}" in captured.err
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "abc"])
+    def test_unusable_memory_variable_is_named(self, budget, monkeypatch, capsys):
+        monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", budget)
+        assert main(["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--snr", "10",
+                     "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SAMPSPECTRA_MAX_MEM" in captured.err
+
 
 class TestDeterminism:
     def test_thread_count_never_changes_bytes(self, tmp_path):

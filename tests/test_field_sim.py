@@ -169,11 +169,12 @@ class TestSynthesisMatrix:
         assert field_sim._generator_chunk(2, 3) == 7
         assert np.max(np.abs(build_T(instance) - whole)) <= 1e-14
 
-    def test_memory_budget_enforced(self):
-        with pytest.raises(CapacityError):
-            build_G(instance_for(1, 200, 0.5, 0), max_bytes=10_000)
+    def test_memory_budget_enforced(self, monkeypatch):
         with pytest.raises(CapacityError):
             build_T(instance_for(1, 200, 0.5, 0), max_bytes=10_000)
+        monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", "10000")
+        with pytest.raises(CapacityError):
+            build_G(instance_for(1, 200, 0.5, 0))
 
     # (1, 600) sums its generating values over several chunks of points.
     @pytest.mark.parametrize("d, M", [(1, 30), (2, 6), (3, 2), (4, 1), (1, 600)])
@@ -440,11 +441,12 @@ class TestReconstruction:
 
     def test_alpha_must_be_positive(self):
         instance = instance_for(1, 4, 0.5, 0)
-        realization = draw_realization(instance, 0.1, (0, 0))
+        G = build_G(instance)
+        realization = draw_realization(instance, 0.1, (0, 0), G=G)
         with pytest.raises(ValueError):
-            reconstruct_field(instance, realization, 0.0)
+            reconstruct_field(instance, realization, 0.0, G=G)
         with pytest.raises(ValueError):
-            draw_realization(instance, -1.0, (0, 0))
+            draw_realization(instance, -1.0, (0, 0), G=G)
 
 
 class TestNormalSystem:
@@ -490,9 +492,10 @@ class TestNormalSystem:
     def test_equal_instances_are_built_apart(self, builds):
         first, second = instance_for(1, 6, 0.5, 33), instance_for(1, 6, 0.5, 33)
         assert np.array_equal(first.X, second.X)
-        realization = draw_realization(first, 0.1, (33, 0))
-        a_first, _ = reconstruct_field(first, realization, 0.1)
-        a_second, _ = reconstruct_field(second, realization, 0.1)
+        G = build_G(first)
+        realization = draw_realization(first, 0.1, (33, 0), G=G)
+        a_first, _ = reconstruct_field(first, realization, 0.1, G=G)
+        a_second, _ = reconstruct_field(second, realization, 0.1, G=G)
         assert np.array_equal(a_first, a_second)
         assert len(builds) == 2
         assert builds[0] is first and builds[1] is second
@@ -525,9 +528,10 @@ class TestNormalSystem:
         inv = np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda A: 0.5 * inv(A))
         instance = instance_for(2, 3, 0.5, 36)
-        realization = draw_realization(instance, 0.1, (36, 0))
+        G = build_G(instance)
+        realization = draw_realization(instance, 0.1, (36, 0), G=G)
         with pytest.raises(IntegrityError, match="residual"):
-            reconstruct_field(instance, realization, 0.1)
+            reconstruct_field(instance, realization, 0.1, G=G)
 
 
 class TestRealizationContainer:

@@ -30,6 +30,12 @@ class TestParams:
         with pytest.raises(ValueError):
             MPParams(bad)
 
+    def test_edges_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            MPParams(0.5, c1=9.0)
+        with pytest.raises(TypeError):
+            MPParams(0.5, 9.0, -3.0)
+
 
 class TestDensity:
     def test_zero_outside_open_support(self):
