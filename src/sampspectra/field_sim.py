@@ -104,14 +104,11 @@ class SamplingInstance:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumSample:
-    """Eigenvalues of one realization of T, with the instance metadata."""
+    """Eigenvalues of one realization of T, with the instance's size and ratio."""
 
     eigenvalues: np.ndarray
-    d: int
-    M: int
     r: int
     beta: float
-    seed: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,14 +374,7 @@ def hermitian_eigenvalues(T: np.ndarray, instance: SamplingInstance) -> Spectrum
             f"eigenvalue {eigenvalues[0]} below the clamping floor -{clamp}"
         )
     eigenvalues = np.maximum(eigenvalues, 0.0)
-    return SpectrumSample(
-        eigenvalues=eigenvalues,
-        d=instance.d,
-        M=instance.M,
-        r=instance.r,
-        beta=instance.beta,
-        seed=instance.seed,
-    )
+    return SpectrumSample(eigenvalues=eigenvalues, r=instance.r, beta=instance.beta)
 
 
 def _seed_entropy(seed):
@@ -416,7 +406,7 @@ def draw_realization(instance: SamplingInstance, alpha: float, seed, G) -> Field
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     n_coeff = G.shape[0]
-    rng = rng_for(_seed_entropy(seed))
+    rng = rng_for(seed)
     a = (rng.standard_normal(n_coeff) + 1j * rng.standard_normal(n_coeff)) / np.sqrt(2)
     noise = np.sqrt(alpha / 2) * (
         rng.standard_normal(instance.r) + 1j * rng.standard_normal(instance.r)

@@ -73,7 +73,9 @@ def mp_lmmse(beta: float, alpha: float) -> float:
     ``alpha`` is the noise-to-signal power ratio; alpha = 0 is the
     noiseless sentinel and returns exactly 0. The closed form is
     (2 beta - theta + sqrt(theta^2 - 4 beta)) / (2 beta) with
-    theta = 1 + beta (1 + alpha).
+    theta = 1 + beta (1 + alpha). Its numerator cancels at low SNR, so the
+    equal form 2 alpha beta / (1 - beta + alpha beta + sqrt(theta^2 - 4 beta))
+    is evaluated instead: every term of its denominator is non-negative.
     """
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
@@ -87,7 +89,7 @@ def mp_lmmse(beta: float, alpha: float) -> float:
         raise ValueError(
             f"discriminant {disc} is negative; beta/alpha inputs are corrupted"
         )
-    value = (2 * beta - theta + math.sqrt(max(disc, 0.0))) / (2 * beta)
+    value = 2 * alpha * beta / (1 - beta + alpha * beta + math.sqrt(max(disc, 0.0)))
     if value < -_DOMAIN_SLACK or value > 1 + _DOMAIN_SLACK:
         raise ValueError(f"closed form produced {value}, outside [0, 1]")
     return min(max(value, 0.0), 1.0)

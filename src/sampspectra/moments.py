@@ -89,14 +89,15 @@ def moment_expansion(p: int) -> MomentExpansion:
     return MomentExpansion(p=p, terms=terms)
 
 
-def moment_eval(expansion: MomentExpansion, d: int, beta, exact: bool = False):
+def moment_eval(expansion: MomentExpansion, d: int, beta):
     """Evaluate an expansion at field dimension d and ratio beta.
 
-    Returns a float by default; with ``exact=True`` and a rational beta the
-    arithmetic stays in Fractions end to end.
+    Returns a float, or an exact Fraction when beta is a Fraction: the
+    arithmetic then stays in Fractions end to end.
     """
     check_d(d)
-    beta = check_beta(beta, exact)
+    beta = check_beta(beta)
+    exact = isinstance(beta, Fraction)
     total = sum(
         t.multiplicity * (t.volume if exact else float(t.volume)) ** d
         * beta ** (expansion.p - t.k)
@@ -109,7 +110,7 @@ def moment_limit(p: int, beta) -> float:
     """Large-d limit of the p-th moment: the Narayana polynomial in beta."""
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
-    beta = check_beta(beta, exact=False)
+    beta = check_beta(beta)
     return float(sum(narayana(p, k) * beta ** (p - k) for k in range(1, p + 1)))
 
 
@@ -164,12 +165,12 @@ def check_d(d):
         raise ValueError(f"dimension must be a positive integer, got {d!r}")
 
 
-def check_beta(beta, exact=False):
-    """Validated beta in (0, 1]: a Fraction if exact or given one, else a float."""
+def check_beta(beta):
+    """Validated beta in (0, 1]: a Fraction if given one, else a float."""
     if isinstance(beta, Fraction):
         value = beta
     elif isinstance(beta, numbers.Real):
-        value = Fraction(beta) if exact else float(beta)
+        value = float(beta)
     else:
         raise ValueError(f"beta must be a real number, got {beta!r}")
     if not 0 < value <= 1:

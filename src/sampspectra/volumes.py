@@ -11,17 +11,20 @@ path reduces to the empty path; crossing survivors have v <= 2/3.
 The module computes zeta_M exactly with integer arithmetic, recovers v as
 the leading Newton divided difference of D + 3 exact counts, with the next
 two checked to be zero, and offers an independent floating-point
-cross-check that evaluates v as an iterated integral of products of sinc
-factors.
+cross-check that integrates a product of band-limited sinc factors by the
+midpoint rule at the Nyquist step, refining only the truncation half-width
+up to a per-dimension cap on grid points per axis.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .combinatorics import (
     MAX_ORDER,
@@ -218,13 +221,11 @@ def clear_volume_cache() -> None:
 
 # --- independent quadrature cross-check --------------------------------------
 
-# Grid evaluations allowed per dimension before giving up. Every refinement
-# doubles the truncation half-width and halves the step, so the point count
-# per axis quadruples each round.
-_REFINEMENT_BUDGET = {1: 5, 2: 3, 3: 2}
-_BASE_HALF_WIDTH = 8.0
-_BASE_POINTS_PER_UNIT = 64
-_CHUNK_ROWS = 2048
+# Grid points per axis allowed in each quadrature dimension k - 1. The grid
+# of half-width Y has 2 Y deg_max points per axis, and a three-dimensional
+# einsum may form n x n intermediates (32 MiB each at the cap).
+_MAX_POINTS = {1: 2**18, 2: 2**12, 3: 2**11}
+_BASE_HALF_WIDTH = 8
 
 
 def volume_quadrature(path: PathLike, tolerance: float) -> float:
@@ -232,10 +233,12 @@ def volume_quadrature(path: PathLike, tolerance: float) -> float:
 
     The constraint system's solution density equals the integral over
     R^(k-1) of the product of sinc(y_a - y_b) over circularly consecutive
-    label pairs (a, b), with the last label's variable pinned to zero. The
-    integral is evaluated on a midpoint grid over [-Y, Y]^(k-1), doubling Y
-    and halving the step until two successive estimates agree within
-    ``tolerance``. Only k - 1 <= 3 is supported.
+    label pairs (a, b), with the last label's variable pinned to zero.
+    Along y_a the product is band-limited to |xi| <= deg(a) / 2, deg(a)
+    being twice block a's size, so by Poisson summation the midpoint rule
+    with step 1 / deg_max is exact on R^(k-1). Only the grid's half-width Y
+    doubles, from 8, until two estimates agree within ``tolerance`` or the
+    grid would pass the cap. Only k - 1 <= 3 is supported.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -248,101 +251,49 @@ def volume_quadrature(path: PathLike, tolerance: float) -> float:
     if dim > 3:
         raise ValueError(f"quadrature dimension k-1 = {dim} exceeds the supported 3")
 
-    uni, biv = _sinc_exponents(path)
+    rate = _nyquist_rate(path)
+    cap = _MAX_POINTS[dim]
     half_width = _BASE_HALF_WIDTH
-    per_unit = _BASE_POINTS_PER_UNIT
+    if 4 * half_width * rate > cap:  # fewer than two estimates would fit
+        raise CapacityError(f"{rate} grid points per unit exceed the cap {cap}")
     estimate = None
-    for _ in range(_REFINEMENT_BUDGET[dim]):
-        previous, estimate = estimate, _grid_estimate(dim, uni, biv, half_width, per_unit)
+    while 2 * half_width * rate <= cap:
+        previous, estimate = estimate, _grid_estimate(path, half_width, rate)
         if previous is not None and abs(estimate - previous) < tolerance:
             return estimate
         half_width *= 2
-        per_unit *= 2
     raise ConvergenceError(
-        f"quadrature did not reach tolerance {tolerance} within "
-        f"{_REFINEMENT_BUDGET[dim]} refinements (last estimates "
-        f"{previous} and {estimate})",
+        f"quadrature did not reach tolerance {tolerance} by half-width "
+        f"{half_width // 2} (last estimates {previous} and {estimate})",
         estimates=(previous, estimate),
     )
 
 
-def _sinc_exponents(path):
-    """Exponent of each sinc factor, keyed by unordered label pair.
+def _nyquist_rate(path):
+    """Grid points per unit length: deg_max = twice the largest block."""
+    return 2 * max(Counter(path.labels).values())
 
-    Pairs touching the pinned label k become univariate factors. Reduced
-    paths never pair a label with itself (that would be an adjacency).
+
+def _grid_estimate(path, half_width, rate):
+    """Midpoint rule over [-Y, Y]^(k-1) at ``rate`` points per unit, one einsum.
+
+    A label paired with the pinned label k contributes the vector sinc(y)^e,
+    any other pair the Toeplitz matrix sinc(y_a - y_b)^e: row i is the
+    window of n lags from -i upwards, a strided view onto 2n - 1 values.
     """
-    labels, p, k = path.labels, path.p, path.k
-    uni, biv = {}, {}
-    for i in range(p):
-        a, b = labels[i], labels[(i + 1) % p]
-        if a > b:
-            a, b = b, a
-        if b == k:
-            uni[a] = uni.get(a, 0) + 1
+    n = 2 * half_width * rate
+    step = 1.0 / rate
+    y = -half_width + (np.arange(n) + 0.5) * step
+    lags = np.sinc(np.arange(1 - n, n) * step)
+    w = path.labels
+    exponents = Counter(tuple(sorted(pair)) for pair in zip(w, w[1:] + w[:1]))
+    subscripts, operands = [], []
+    for (a, b), e in exponents.items():
+        if b == path.k:
+            subscripts.append("ijl"[a - 1])
+            operands.append(np.sinc(y) ** e)
         else:
-            biv[(a, b)] = biv.get((a, b), 0) + 1
-    return uni, biv
-
-
-def _grid_estimate(dim, uni, biv, half_width, per_unit):
-    h = 1.0 / per_unit
-    n = int(round(2 * half_width * per_unit))
-    y = -half_width + (np.arange(n) + 0.5) * h
-    u = [_sinc_power(y, uni.get(var, 0)) for var in range(1, dim + 1)]
-
-    if dim == 1:
-        return h * float(u[0].sum())
-
-    if dim == 2:
-        e12 = biv.get((1, 2), 0)
-        return h * h * _pair_sum(y, u[0], u[1], e12)
-
-    e12 = biv.get((1, 2), 0)
-    e13 = biv.get((1, 3), 0)
-    e23 = biv.get((2, 3), 0)
-    if e13 and e23:
-        w23 = _sinc_power(y[:, None] - y[None, :], e23) * u[2][None, :]  # (y2, y3)
-        total = 0.0
-        for s in range(0, n, _CHUNK_ROWS):
-            y1 = y[s : s + _CHUNK_ROWS]
-            inner = _sinc_power(y1[:, None] - y[None, :], e13) @ w23.T  # (y1, y2)
-            block = u[0][s : s + _CHUNK_ROWS, None] * u[1][None, :] * inner
-            if e12:
-                block = block * _sinc_power(y1[:, None] - y[None, :], e12)
-            total += float(block.sum())
-        return h**3 * total
-    if e13:  # y3 couples to y1 only
-        g1 = _matvec_sinc(y, u[2], e13)
-        return h**3 * _pair_sum(y, u[0] * g1, u[1], e12)
-    if e23:  # y3 couples to y2 only
-        g2 = _matvec_sinc(y, u[2], e23)
-        return h**3 * _pair_sum(y, u[0], u[1] * g2, e12)
-    return h**3 * float(u[2].sum()) * _pair_sum(y, u[0], u[1], e12)
-
-
-def _sinc_power(x, exponent):
-    if exponent == 0:
-        return np.ones_like(x)
-    f = np.sinc(x)
-    return f if exponent == 1 else f**exponent
-
-
-def _matvec_sinc(y, weights, exponent):
-    """g(s) = sum_t sinc(s - t)^exponent * weights(t), chunked over s."""
-    out = np.empty_like(y)
-    for s in range(0, len(y), _CHUNK_ROWS):
-        block = _sinc_power(y[s : s + _CHUNK_ROWS, None] - y[None, :], exponent)
-        out[s : s + _CHUNK_ROWS] = block @ weights
-    return out
-
-
-def _pair_sum(y, u1, u2, exponent):
-    """sum over (s, t) of u1(s) u2(t) sinc(s - t)^exponent, chunked."""
-    if exponent == 0:
-        return float(u1.sum()) * float(u2.sum())
-    total = 0.0
-    for s in range(0, len(y), _CHUNK_ROWS):
-        block = _sinc_power(y[s : s + _CHUNK_ROWS, None] - y[None, :], exponent)
-        total += float(u1[s : s + _CHUNK_ROWS] @ block @ u2)
-    return total
+            subscripts.append("ijl"[a - 1] + "ijl"[b - 1])
+            operands.append(sliding_window_view(lags**e, n)[::-1])
+    total = np.einsum(",".join(subscripts) + "->", *operands, optimize=True)
+    return float(total) * step ** (path.k - 1)

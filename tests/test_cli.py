@@ -106,6 +106,7 @@ class TestVolume:
 
     @pytest.mark.parametrize("path, volume", [
         ("1,2,3,4,1,2,3,4", "2/5"), ("1,2,3,1,4,2,3,4", "11/30"),
+        ("1,2,1,2,3,4,3,4", "9/20"),
     ])
     def test_four_block_paths_cross_check(self, path, volume, capsys):
         # Reduced paths of 4 blocks take the three-dimensional quadrature.
@@ -113,6 +114,13 @@ class TestVolume:
         doc = json.loads(capsys.readouterr().out)
         assert doc["volume"] == volume
         assert abs(doc["quadrature"] - doc["volume_float"]) < 1e-4
+
+    def test_three_block_path_cross_check(self, capsys):
+        # Reduced paths of 3 blocks take the two-dimensional quadrature.
+        assert main(["volume", "1,2,3,1,2,3", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["volume"] == "1/2"
+        assert abs(doc["quadrature"] - doc["volume_float"]) < 1e-6
 
     def test_order_fourteen_core_is_refused_before_counting(self, capsys, monkeypatch):
         # The path is its own core, two past MAX_ORDER.

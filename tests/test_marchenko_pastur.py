@@ -119,7 +119,7 @@ class TestLmmse:
         assert mp_lmmse(1.0, 1.0) == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-15)
 
     @pytest.mark.parametrize("beta", BETAS)
-    @pytest.mark.parametrize("snr_db", [0, 10, 20, 30])
+    @pytest.mark.parametrize("snr_db", [-200, -100, -60, 0, 10, 20, 30])
     def test_matches_quadrature(self, beta, snr_db):
         alpha = 10 ** (-snr_db / 10)
         shift = alpha * beta

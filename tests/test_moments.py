@@ -114,7 +114,7 @@ class TestEvaluation:
     def test_exact_rational_value(self):
         # By hand: 1/8 + (6 + 2/3)/4 + 6/2 + 1 = 139/24.
         expansion = moment_expansion(4)
-        value = moment_eval(expansion, 1, Fraction(1, 2), exact=True)
+        value = moment_eval(expansion, 1, Fraction(1, 2))
         assert value == Fraction(139, 24)
         assert moment_eval(expansion, 1, 0.5) == pytest.approx(139 / 24, abs=1e-12)
 
@@ -122,7 +122,7 @@ class TestEvaluation:
         # At beta = 1 the first-order value stays 1 and higher orders match
         # the expansion term sums exactly.
         expansion = moment_expansion(4)
-        value = moment_eval(expansion, 2, ONE, exact=True)
+        value = moment_eval(expansion, 2, ONE)
         assert value == 1 + 6 + Fraction(4, 9) + 6 + 1
 
     def test_decreases_with_dimension(self):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from sampspectra.combinatorics import (
     multigraph_class,
     reduce_path,
 )
-from sampspectra.errors import ConvergenceError, IntegrityError
+from sampspectra.errors import CapacityError, ConvergenceError, IntegrityError
 from sampspectra.volumes import (
     clear_volume_cache,
     constraint_system,
@@ -307,6 +308,21 @@ class TestVolumeQuadrature:
             q = volume_quadrature(path, tolerance=1e-4)
             assert abs(q - float(volume_exact(path).exact)) <= 5e-4, labels
 
+    @pytest.mark.parametrize("labels", [
+        [1, 2, 1, 2], [1, 2, 3, 1, 2, 3], [1, 2, 3, 1, 4, 2, 3, 4],
+    ])
+    def test_nyquist_step_leaves_only_truncation_error(self, labels):
+        # The midpoint rule at the Nyquist step is exact on the whole space,
+        # so at a fixed half-width a finer step barely moves the estimate,
+        # while a wider grid moves it by the truncated tail.
+        path = PartitionPath.of(labels)
+        rate = sampspectra.volumes._nyquist_rate(path)
+        estimate = functools.partial(sampspectra.volumes._grid_estimate, path)
+        base = estimate(8, rate)
+        finer = estimate(8, 2 * rate)
+        wider = estimate(16, rate)
+        assert abs(finer - base) < 0.01 * abs(wider - base)
+
     def test_rejects_unreduced_or_unsupported(self):
         with pytest.raises(ValueError):
             volume_quadrature(PartitionPath.of([1, 1, 2]), tolerance=1e-4)
@@ -318,18 +334,29 @@ class TestVolumeQuadrature:
         with pytest.raises(ValueError):
             volume_quadrature(wide, tolerance=1e-3)
 
+    def test_grid_over_the_cap_is_refused_before_work(self, monkeypatch):
+        # Two half-widths of [1,2,1,2] need 2 * 16 * 4 = 128 points per axis.
+        def never(*args):
+            raise AssertionError("grid estimated")
+
+        monkeypatch.setattr(sampspectra.volumes, "_MAX_POINTS", {1: 127})
+        monkeypatch.setattr(sampspectra.volumes, "_grid_estimate", never)
+        with pytest.raises(CapacityError):
+            volume_quadrature(PartitionPath.of([1, 2, 1, 2]), tolerance=1e-6)
+
     def test_unreachable_tolerance_reports_estimates(self):
         with pytest.raises(ConvergenceError) as info:
-            volume_quadrature(PartitionPath.of([1, 2, 1, 2]), tolerance=1e-15)
+            volume_quadrature(PartitionPath.of([1, 2, 1, 2]), tolerance=1e-17)
         estimates = info.value.estimates
         assert len(estimates) >= 2
         assert all(abs(e - 2 / 3) < 1e-3 for e in estimates)
 
     def test_unconverged_error_keeps_the_last_two_estimates(self):
-        # The three-dimensional budget allows two grid estimates; both are
+        # The three-dimensional cap stops the half-width at 256 for this
+        # path, short of 1e-12; both of the last two estimates are
         # reported, not the last one twice.
         with pytest.raises(ConvergenceError) as info:
-            volume_quadrature(PartitionPath.of([1, 2, 3, 4, 1, 2, 3, 4]), tolerance=1e-9)
+            volume_quadrature(PartitionPath.of([1, 2, 3, 4, 1, 2, 3, 4]), tolerance=1e-12)
         first, last = info.value.estimates
         assert first != last
         assert f"{first} and {last}" in str(info.value)
