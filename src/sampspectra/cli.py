@@ -214,8 +214,8 @@ def cmd_volume(args):
     volume = volume_exact(reduced).exact
     quadrature = None
     if 1 <= reduced.k - 1 <= 3:
-        # The slowest 4-block tails shrink like 1/Y: 1,2,1,2,3,4,3,4 meets
-        # 1e-4 at half-width 256, the three-dimensional cap.
+        # The slowest 4-block tails shrink like 1/Y: even extrapolated,
+        # 1,2,1,2,1,3,4,3,4 misses 1e-6 within the three-dimensional cap.
         tolerance = 1e-4 if reduced.k - 1 == 3 else 1e-6
         quadrature = volume_quadrature(reduced, tolerance=tolerance)
 

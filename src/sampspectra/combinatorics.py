@@ -276,7 +276,8 @@ def multigraph_class(labels: Sequence[int]) -> tuple:
     The multigraph has one vertex per label and one edge per circularly
     consecutive label pair, with no self-loops in a core. The class is the
     least sorted ``(i, j, multiplicity)`` edge list over the relabellings of
-    the vertices to 0..n-1 that order them by degree; the empty core gives
+    the vertices to 0..n-1 that order them by an isomorphism-invariant
+    colour (:func:`_canonical_form`); the empty core gives
     ``()``. Other paths must be reduced first (:func:`reduce_path`).
     """
     labels = tuple(labels)
@@ -291,17 +292,24 @@ def multigraph_class(labels: Sequence[int]) -> tuple:
 def _canonical_form(edges: tuple) -> tuple:
     """Least relabelled edge list of a graph on vertices 0..n-1.
 
-    Only relabellings that sort vertices by degree are tried, since every
-    isomorphism preserves degree. A core of order e has at most e/2
-    vertices, so at e <= 12 this is at most 6! orderings. Memoized, because
-    many cores share one labelled multigraph.
+    Every isomorphism preserves a vertex's colour: its degree and the
+    sorted (neighbour degree, multiplicity) pairs of its edges. So only
+    relabellings that sort vertices by colour are tried, permuting within
+    each colour group. A core of order e has at most e/2 vertices, so at
+    e <= 12 this is at most 6! orderings. Memoized, because many cores
+    share one labelled multigraph.
     """
     degree = {}
     for u, w, m in edges:
         degree[u] = degree.get(u, 0) + m
         degree[w] = degree.get(w, 0) + m
-    by_degree = sorted(degree, key=degree.get)
-    groups = [list(g) for _, g in itertools.groupby(by_degree, key=degree.get)]
+    links = {v: [] for v in degree}
+    for u, w, m in edges:
+        links[u].append((degree[w], m))
+        links[w].append((degree[u], m))
+    colour = {v: (degree[v], tuple(sorted(links[v]))) for v in degree}
+    by_colour = sorted(degree, key=colour.get)
+    groups = [list(g) for _, g in itertools.groupby(by_colour, key=colour.get)]
 
     def relabelled(ordering):
         index = {v: i for i, v in enumerate(itertools.chain.from_iterable(ordering))}

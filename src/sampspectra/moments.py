@@ -31,6 +31,7 @@ from .combinatorics import (
     catalan,
     iter_cores,
     iter_partition_paths,  # noqa: F401  wrapped by perfbench/tracer.py
+    multigraph_class,
     narayana,
 )
 from .errors import CapacityError
@@ -66,8 +67,9 @@ def moment_expansion(p: int) -> MomentExpansion:
 
     The non-crossing paths give the Narayana numbers, and each core of
     order e with v blocks adds C(p, k - v) C(p, k + e - v) paths with k
-    blocks: 394 cores stand for the 21,147 paths at p = 9. ``volume_of`` is
-    asked once per core and counts lattice points once per class.
+    blocks: 394 cores stand for the 21,147 paths at p = 9. Cores are grouped
+    by :func:`~sampspectra.combinatorics.multigraph_class` first, so
+    ``volume_of`` is asked, and the binomial sum run, once per class.
     """
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
@@ -77,11 +79,16 @@ def moment_expansion(p: int) -> MomentExpansion:
         )
     agg = {(Fraction(1), k): narayana(p, k) for k in range(1, p + 1)}
     for e in range(1, p + 1):
+        classes = {}  # class -> [first core, number of cores]
         for core in iter_cores(e):
+            classes.setdefault(multigraph_class(core), [core, 0])[1] += 1
+        for core, count in classes.values():
             volume, v = volume_of(core), max(core)
             for k in range(v, p - e + v + 1):
                 key = (volume, k)
-                agg[key] = agg.get(key, 0) + math.comb(p, k - v) * math.comb(p, k + e - v)
+                agg[key] = agg.get(key, 0) + (
+                    count * math.comb(p, k - v) * math.comb(p, k + e - v)
+                )
     terms = tuple(
         MomentTerm(volume=v, k=k, multiplicity=agg[(v, k)])
         for v, k in sorted(agg, key=lambda vk: (vk[1], vk[0]))

@@ -8,12 +8,16 @@ in (2M+1) of degree p - k + 1, and its leading coefficient is the path's
 volume coefficient v, a rational number in [0, 1]. v = 1 exactly when the
 path reduces to the empty path; crossing survivors have v <= 2/3.
 
-The module computes zeta_M exactly with integer arithmetic, recovers v as
-the leading Newton divided difference of D + 3 exact counts, with the next
-two checked to be zero, and offers an independent floating-point
-cross-check that integrates a product of band-limited sinc factors by the
-midpoint rule at the Nyquist step, refining only the truncation half-width
-up to a per-dimension cap on grid points per axis.
+The module computes zeta_M exactly with integer arithmetic. The solutions
+form a lattice polytope (the constraint matrix is a graph's incidence
+matrix, hence totally unimodular), so by Ehrhart-Macdonald reciprocity the
+count is even or odd in 2M+1 with D = p - k + 1, and D // 2 + 3 exact counts
+fix it: v is the leading Newton divided difference over the squared nodes,
+with the next two checked to be zero. The module also offers an
+independent floating-point cross-check that integrates a product of
+band-limited sinc factors by the midpoint rule at the Nyquist step,
+refining only the truncation half-width up to a per-dimension cap on grid
+points per axis, with Aitken extrapolation of the truncation error.
 """
 
 from __future__ import annotations
@@ -160,11 +164,16 @@ def zeta_count(path: PathLike, M: int) -> int:
 def volume_exact(path: PathLike) -> VolumeResult:
     """Exact volume coefficient of a path.
 
-    Counts zeta_M at M = 0..D+2 with D = p - k + 1 and takes the Newton
-    divided differences of the counts over x = 2M + 1. Entry D is the
-    leading coefficient of the degree-D polynomial, and entries D+1 and D+2
-    must vanish. The empty path has volume 1 by convention. Paths longer
-    than ``MAX_ORDER`` are refused before any lattice point is counted.
+    zeta_M is the Ehrhart polynomial of the lattice polytope ker W cut by
+    [-1, 1]^p, and the polytope's interior holds exactly the points of the
+    next smaller box, so reciprocity gives L(-M) = (-1)^D L(M - 1): in
+    x = 2M + 1 the degree-D count is x^r Q(x^2) with r = D mod 2 and
+    h = deg Q = D // 2, where D = p - k + 1. So only M = 0..h+2 are counted,
+    h + 3 counts, and the Newton divided differences of zeta_M / x^r over
+    the nodes x^2 are taken. Entry h is the leading coefficient, which is
+    the volume, and entries h+1 and h+2 must vanish. The empty path has
+    volume 1 by convention. Paths longer than ``MAX_ORDER`` are refused
+    before any lattice point is counted.
     """
     path = PartitionPath.of(path)
     if path.p > MAX_ORDER:
@@ -172,22 +181,26 @@ def volume_exact(path: PathLike) -> VolumeResult:
     if path.p == 0:
         return VolumeResult(exact=Fraction(1), degree=0, fit_points=((0, 1),))
     degree = path.p - path.k + 1
-    points = tuple((M, zeta_count(path, M)) for M in range(degree + 3))
-    # Entry M of diffs is the divided difference over x_0..x_M. The nodes
-    # x_M = 2M + 1 are 2 apart, so level L divides by 2L.
-    table = [Fraction(z) for _, z in points]
+    half, odd = divmod(degree, 2)
+    points = tuple((M, zeta_count(path, M)) for M in range(half + 3))
+    nodes = [(2 * M + 1) ** 2 for M, _ in points]
+    # Entry L of diffs is the divided difference over nodes 0..L.
+    table = [Fraction(z, (2 * M + 1) ** odd) for M, z in points]
     diffs = [table[0]]
-    for level in range(1, degree + 3):
-        table = [(b - a) / (2 * level) for a, b in zip(table, table[1:])]
+    for level in range(1, half + 3):
+        table = [
+            (b - a) / (nodes[i + level] - nodes[i])
+            for i, (a, b) in enumerate(zip(table, table[1:]))
+        ]
         diffs.append(table[0])
-    for M in (degree + 1, degree + 2):
+    for M in (half + 1, half + 2):
         if diffs[M]:
             raise IntegrityError(
                 f"lattice count mismatch at M={M}: counts at M=0..{M} have "
                 f"divided difference {diffs[M]}, not 0 as for a degree-{degree} "
-                f"polynomial"
+                f"polynomial of parity {odd}"
             )
-    exact = diffs[degree]
+    exact = diffs[half]
     if not 0 <= exact <= 1:
         raise IntegrityError(f"volume coefficient {exact} outside [0, 1]")
     return VolumeResult(exact=exact, degree=degree, fit_points=points)
@@ -237,8 +250,10 @@ def volume_quadrature(path: PathLike, tolerance: float) -> float:
     Along y_a the product is band-limited to |xi| <= deg(a) / 2, deg(a)
     being twice block a's size, so by Poisson summation the midpoint rule
     with step 1 / deg_max is exact on R^(k-1). Only the grid's half-width Y
-    doubles, from 8, until two estimates agree within ``tolerance`` or the
-    grid would pass the cap. Only k - 1 <= 3 is supported.
+    doubles, from 8, and Aitken's delta-squared extrapolation of each three
+    successive estimates removes most of the truncation error, until two
+    extrapolated values agree within ``tolerance`` or the grid would pass
+    the cap. Only k - 1 <= 3 is supported.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -254,19 +269,33 @@ def volume_quadrature(path: PathLike, tolerance: float) -> float:
     rate = _nyquist_rate(path)
     cap = _MAX_POINTS[dim]
     half_width = _BASE_HALF_WIDTH
-    if 4 * half_width * rate > cap:  # fewer than two estimates would fit
+    if 16 * half_width * rate > cap:  # fewer than two extrapolations would fit
         raise CapacityError(f"{rate} grid points per unit exceed the cap {cap}")
-    estimate = None
+    estimates, extrapolated = [], []
     while 2 * half_width * rate <= cap:
-        previous, estimate = estimate, _grid_estimate(path, half_width, rate)
-        if previous is not None and abs(estimate - previous) < tolerance:
-            return estimate
+        estimates.append(_grid_estimate(path, half_width, rate))
         half_width *= 2
+        if len(estimates) >= 3:
+            extrapolated.append(_aitken(*estimates[-3:]))
+        if len(extrapolated) >= 2:
+            previous, latest = extrapolated[-2:]
+            # Equal floats agree only to within their spacing, so a
+            # tolerance finer than that is never met.
+            if abs(latest - previous) + np.spacing(latest) < tolerance:
+                return latest
     raise ConvergenceError(
         f"quadrature did not reach tolerance {tolerance} by half-width "
-        f"{half_width // 2} (last estimates {previous} and {estimate})",
-        estimates=(previous, estimate),
+        f"{half_width // 2} (last extrapolations {previous} and {latest})",
+        estimates=(previous, latest),
     )
+
+
+def _aitken(older, old, new):
+    """Aitken's delta-squared limit of three successive estimates."""
+    inc, prev_inc = new - old, old - older
+    if inc == prev_inc:
+        return new
+    return new - inc * inc / (inc - prev_inc)
 
 
 def _nyquist_rate(path):

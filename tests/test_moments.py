@@ -20,7 +20,7 @@ from sampspectra.moments import (
     moment_limit,
     symbolic_expansion,
 )
-from sampspectra.volumes import volume_exact
+from sampspectra.volumes import volume_exact, volume_of
 
 ONE = Fraction(1)
 
@@ -93,6 +93,22 @@ class TestExpansionStructure:
                     if n:
                         expected[(cls, k)] = n
             assert counted == expected, p
+
+    def test_per_class_sum_matches_per_core_sum(self):
+        # moment_expansion asks one volume per class and weights it by the
+        # class's core count; summing core by core must give the same terms.
+        classes = {multigraph_class(core) for e in range(1, 11) for core in iter_cores(e)}
+        orders = [sum(m for _, _, m in cls) for cls in classes]
+        assert (sum(e <= 9 for e in orders), len(orders)) == (15, 35)
+        for p in range(1, 11):
+            per_core = {(ONE, k): narayana(p, k) for k in range(1, p + 1)}
+            for e in range(1, p + 1):
+                for core in iter_cores(e):
+                    volume, v = volume_of(core), max(core)
+                    for k in range(v, p - e + v + 1):
+                        n = math.comb(p, k - v) * math.comb(p, k + e - v)
+                        per_core[(volume, k)] = per_core.get((volume, k), 0) + n
+            assert moment_expansion(p).term_map() == per_core, p
 
     @pytest.mark.parametrize("p", [10, 11])
     def test_tenth_order_structure(self, p):

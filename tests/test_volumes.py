@@ -11,6 +11,7 @@ import sampspectra.volumes
 from sampspectra.combinatorics import (
     PartitionPath,
     is_crossing,
+    iter_cores,
     iter_partition_paths,
     multigraph_class,
     reduce_path,
@@ -46,6 +47,21 @@ def lagrange_eval(points, x):
                 term *= Fraction(x - xj, xi - xj)
         total += term
     return total
+
+
+def monomial_coefficients(xs, ys):
+    # Interpolating polynomial through (xs, ys), lowest degree first.
+    newton = [Fraction(y) for y in ys]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            newton[i] = (newton[i] - newton[i - 1]) / (xs[i] - xs[i - level])
+    poly = []
+    for x0, c in zip(reversed(xs), reversed(newton)):
+        # poly <- poly * (x - x0) + c
+        poly = [c] + poly
+        for j in range(len(poly) - 1):
+            poly[j] -= x0 * poly[j + 1]
+    return poly
 
 
 def _to_rgs(raw):
@@ -143,12 +159,11 @@ class TestVolumeExact:
         assert result.exact == value
 
     def test_fit_metadata(self):
-        # Degree p - k + 1 fit plus the two extrapolation checkpoints.
+        # Degree 3 is odd, so the count is x Q(x^2) with deg Q = 1: two
+        # points fix Q and two more are the vanishing checkpoints.
         result = volume_exact(PartitionPath.of([1, 2, 1, 2]))
         assert result.degree == 3
-        assert result.fit_points == (
-            (0, 1), (1, 19), (2, 85), (3, 231), (4, 489), (5, 891),
-        )
+        assert result.fit_points == ((0, 1), (1, 19), (2, 85), (3, 231))
 
     def test_volume_in_unit_interval(self):
         for p in range(1, 7):
@@ -162,18 +177,42 @@ class TestVolumeExact:
                 direct = volume_exact(PartitionPath.of(labels)).exact
                 assert direct == volume_of(labels)
 
-    @pytest.mark.parametrize("bad_M", [4, 5])
-    def test_non_polynomial_counts_are_rejected(self, bad_M, monkeypatch):
-        # [1,2,1,2] has degree D = 3, so M = 4 and 5 are D+1 and D+2.
+    @pytest.mark.parametrize("labels", [
+        [1], [1, 2, 1, 2], [1, 2, 3, 1, 2, 3], [1, 2, 1, 2, 1, 2],
+    ], ids=lambda labels: "".join(map(str, labels)))
+    def test_any_corrupted_count_is_rejected(self, labels, monkeypatch):
+        # Every count enters the top divided difference with a non-zero
+        # weight, so one wrong count at any M of the fit moves a difference
+        # that must vanish.
+        path = PartitionPath.of(labels)
         true_zeta = sampspectra.volumes.zeta_count
+        for bad_M, _ in volume_exact(path).fit_points:
+            monkeypatch.setattr(
+                sampspectra.volumes, "zeta_count",
+                lambda path, M, bad_M=bad_M: true_zeta(path, M) + (M == bad_M),
+            )
+            with pytest.raises(IntegrityError, match="lattice count mismatch"):
+                volume_exact(path)
 
-        def corrupted(path, M):
-            value = true_zeta(path, M)
-            return value + 1 if M == bad_M else value
-
-        monkeypatch.setattr(sampspectra.volumes, "zeta_count", corrupted)
-        with pytest.raises(IntegrityError, match=f"M={bad_M}:"):
-            volume_exact(PartitionPath.of([1, 2, 1, 2]))
+    def test_full_fit_has_the_parity_of_its_degree(self):
+        # Independent of the parity fit: interpolate the counts at
+        # M = 0..D+2 in x = 2M + 1 by a polynomial of degree D + 2, expand
+        # it into monomials, and check that only degrees D, D-2, ... occur.
+        reps = {}
+        for e in range(1, 11):
+            for core in iter_cores(e):
+                reps.setdefault(multigraph_class(core), core)
+        assert len(reps) == 35
+        for core in reps.values():
+            path = PartitionPath.of(core)
+            degree = path.p - path.k + 1
+            xs = [2 * M + 1 for M in range(degree + 3)]
+            coeffs = monomial_coefficients(
+                xs, [zeta_count(path, M) for M in range(degree + 3)]
+            )
+            assert not any(coeffs[degree + 1:]), core
+            assert not any(coeffs[degree - 1::-2]), core
+            assert coeffs[degree] == volume_exact(path).exact, core
 
 
 class TestVolumeOf:
@@ -293,6 +332,14 @@ class TestVolumeQuadrature:
             PartitionPath.of([1, 2, 3, 4, 1, 2, 3, 4]), tolerance=1e-3
         )
         assert abs(q - 0.4) < 5e-3
+
+    def test_extrapolation_reaches_the_slow_four_block_tail(self):
+        # The truncation error of 1,2,1,2,3,4,3,4 only halves per doubling
+        # of the half-width; extrapolated, it is within 1e-5 by Y = 64.
+        path = PartitionPath.of([1, 2, 1, 2, 3, 4, 3, 4])
+        assert volume_exact(path).exact == Fraction(9, 20)
+        q = volume_quadrature(path, tolerance=1e-5)
+        assert abs(q - 9 / 20) < 1e-5
 
     def test_reduced_sample_agrees_with_exact(self):
         unique = {}
