@@ -194,6 +194,20 @@ class TestVolumeExact:
             with pytest.raises(IntegrityError, match="lattice count mismatch"):
                 volume_exact(path)
 
+    @pytest.mark.parametrize("bad_M", [4, 5])
+    def test_non_polynomial_counts_are_rejected(self, bad_M, monkeypatch):
+        # [1,2,1,2,1,2,1,2] has degree D = 7, so the parity fit counts
+        # M = 0..5 and M = 4 and 5 are its two vanishing checkpoints.
+        true_zeta = sampspectra.volumes.zeta_count
+
+        def corrupted(path, M):
+            value = true_zeta(path, M)
+            return value + 1 if M == bad_M else value
+
+        monkeypatch.setattr(sampspectra.volumes, "zeta_count", corrupted)
+        with pytest.raises(IntegrityError, match=f"M={bad_M}:"):
+            volume_exact(PartitionPath.of([1, 2, 1, 2, 1, 2, 1, 2]))
+
     def test_full_fit_has_the_parity_of_its_degree(self):
         # Independent of the parity fit: interpolate the counts at
         # M = 0..D+2 in x = 2M + 1 by a polynomial of degree D + 2, expand
