@@ -211,7 +211,7 @@ def cmd_volume(args):
     path = _parse_path(args.path)
     trace = reduction_trace(path)
     reduced = trace[-1].path
-    volume = volume_exact(reduced).exact
+    volume = volume_exact(reduced)
     quadrature = None
     if 1 <= reduced.k - 1 <= 3:
         # The slowest 4-block tails shrink like 1/Y: even extrapolated,

@@ -13,9 +13,10 @@ whatever survives reduction determines the path's volume coefficient (see
 
 A path that neither rule changes is a *core*: no singleton block and no two
 circularly adjacent elements in one block. :func:`iter_cores` lists the
-cores of one order, and :func:`multigraph_class` names the isomorphism
-class of a core's transition multigraph (edges join circularly consecutive
-labels), which is all the volume depends on.
+cores of one order. :func:`transition_multigraph` gives a path's transition
+multigraph, whose edges join circularly consecutive labels, and
+:func:`multigraph_class` names the isomorphism class of a core's, which is
+all the volume depends on.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -270,22 +272,30 @@ def iter_cores(e: int) -> Iterator[tuple]:
     return grow(0, 0)
 
 
+def transition_multigraph(labels: Sequence[int]) -> Counter:
+    """Edge multiset of a path's transition multigraph.
+
+    Maps each sorted block pair ``(a, b)``, a loop when ``a == b``, to the
+    number of circularly consecutive label pairs that join blocks a and b,
+    keyed in the order the walk first crosses them.
+    """
+    labels = tuple(labels)
+    pairs = zip(labels, labels[1:] + labels[:1])
+    return Counter((a, b) if a <= b else (b, a) for a, b in pairs)
+
+
 def multigraph_class(labels: Sequence[int]) -> tuple:
     """Isomorphism class of the transition multigraph of a core.
 
-    The multigraph has one vertex per label and one edge per circularly
-    consecutive label pair, with no self-loops in a core. The class is the
-    least sorted ``(i, j, multiplicity)`` edge list over the relabellings of
-    the vertices to 0..n-1 that order them by an isomorphism-invariant
-    colour (:func:`_canonical_form`); the empty core gives
-    ``()``. Other paths must be reduced first (:func:`reduce_path`).
+    The multigraph (:func:`transition_multigraph`) has one vertex per label
+    and one edge per circularly consecutive label pair, with no loops in a
+    core. The class is the least sorted ``(i, j, multiplicity)`` edge list
+    over the relabellings of the vertices to 0..n-1 that order them by an
+    isomorphism-invariant colour (:func:`_canonical_form`); the empty core
+    gives ``()``. Other paths must be reduced first (:func:`reduce_path`).
     """
-    labels = tuple(labels)
-    edges = {}
-    for a, b in zip(labels, labels[1:] + labels[:1]):
-        pair = (a - 1, b - 1) if a < b else (b - 1, a - 1)
-        edges[pair] = edges.get(pair, 0) + 1
-    return _canonical_form(tuple(sorted((u, w, m) for (u, w), m in edges.items())))
+    edges = transition_multigraph(labels)
+    return _canonical_form(tuple(sorted((a - 1, b - 1, m) for (a, b), m in edges.items())))
 
 
 @functools.lru_cache(maxsize=None)

@@ -325,7 +325,7 @@ def build_T(instance: SamplingInstance, max_bytes=None) -> np.ndarray:
     pairs = functools.reduce(np.multiply.outer, [side] * d).ravel()
     expected = float(pairs @ (re * re + im * im))
     frobenius = float(np.vdot(R, R))
-    if abs(frobenius - expected) > _TRACE_RTOL * expected:
+    if not abs(frobenius - expected) <= _TRACE_RTOL * expected:  # also for nan
         raise IntegrityError(
             f"squared Frobenius norm {frobenius} of the real form disagrees "
             f"with {expected} from the generating values"
@@ -346,30 +346,31 @@ def hermitian_eigenvalues(T: np.ndarray, instance: SamplingInstance) -> Spectrum
     if T.shape != (n, n):
         raise ValueError(f"T must be square, got {T.shape}")
     # Row blocks keep the temporaries at a few rows of T, not two copies.
+    # np.maximum keeps a nan, and every check below fails on one.
     deviation = 0.0
     for s in range(0, n, _ROW_BLOCK):
         e = s + _ROW_BLOCK
-        deviation = max(deviation, np.max(np.abs(T[s:e] - T[:, s:e].conj().T)))
-    if deviation > _HERMITIAN_TOL:
+        deviation = np.maximum(deviation, np.max(np.abs(T[s:e] - T[:, s:e].conj().T)))
+    if not deviation <= _HERMITIAN_TOL:
         raise IntegrityError(f"input is non-Hermitian (max deviation {deviation})")
     eigenvalues = np.linalg.eigvalsh(T)
 
     trace = float(np.real(np.trace(T)))
-    if abs(eigenvalues.sum() - trace) > _TRACE_RTOL * max(abs(trace), 1.0):
+    if not abs(eigenvalues.sum() - trace) <= _TRACE_RTOL * max(abs(trace), 1.0):
         raise IntegrityError(
             f"eigenvalue sum {eigenvalues.sum()} disagrees with trace {trace}"
         )
 
     frobenius = float(np.vdot(T, T).real)
     squares = float(eigenvalues @ eigenvalues)
-    if abs(squares - frobenius) > _TRACE_RTOL * max(frobenius, 1.0):
+    if not abs(squares - frobenius) <= _TRACE_RTOL * max(frobenius, 1.0):
         raise IntegrityError(
             f"eigenvalue sum of squares {squares} disagrees with squared "
             f"Frobenius norm {frobenius}"
         )
 
     clamp = _CLAMP_PER_N * n
-    if eigenvalues[0] < -clamp:
+    if not eigenvalues[0] >= -clamp:
         raise IntegrityError(
             f"eigenvalue {eigenvalues[0]} below the clamping floor -{clamp}"
         )
@@ -387,8 +388,8 @@ def empirical_lmmse(sample: SpectrumSample, alpha: float) -> float:
     Equals (1/N) trace of alpha beta (T + alpha beta I)^(-1); exactly the
     (a, n)-averaged LMMSE error of the realization's sampling operator.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
     if alpha == 0:
         return 0.0
     shift = alpha * sample.beta
@@ -403,8 +404,8 @@ def draw_realization(instance: SamplingInstance, alpha: float, seed, G) -> Field
 
     ``G`` is the instance's synthesis matrix from :func:`build_G`.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
     n_coeff = G.shape[0]
     rng = rng_for(seed)
     a = (rng.standard_normal(n_coeff) + 1j * rng.standard_normal(n_coeff)) / np.sqrt(2)
@@ -467,10 +468,10 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     from :func:`_normal_system`, built on the first draw at this (instance,
     alpha); each draw applies the inverse and one step of iterative
     refinement.
-    Requires alpha > 0 so the normal matrix stays positive definite.
+    Requires a finite alpha > 0 so the normal matrix stays positive definite.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
     A, A_inv, A_norm = _normal_system(instance, alpha)
     n_coeff = G.shape[0]
     b = G @ realization.p
@@ -481,7 +482,7 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     Y += A_inv @ (B - A @ Y)
     residual = np.linalg.norm(A @ Y - B)
     allowed = _RESIDUAL_TOL * (A_norm * np.linalg.norm(Y) + np.linalg.norm(B))
-    if residual > allowed:
+    if not residual <= allowed:  # also for nan
         raise IntegrityError(f"solver residual {residual} exceeds {allowed}")
     y = Y[:, 0] + 1j * Y[:, 1]
     a_hat = (y + 1j * y[::-1]) / np.sqrt(2)

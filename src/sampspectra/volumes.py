@@ -1,30 +1,31 @@
 """Exact volume coefficients attached to partition paths.
 
-Each partition path carries a homogeneous linear constraint system on p
-integer variables: block by block, the sum of the variables at the block's
-positions must equal the sum at their circular successors. The number of
-solutions inside the cube [-M..M]^p, written zeta_M here, is a polynomial
-in (2M+1) of degree p - k + 1, and its leading coefficient is the path's
-volume coefficient v, a rational number in [0, 1]. v = 1 exactly when the
-path reduces to the empty path; crossing survivors have v <= 2/3.
+A partition path's transition multigraph has one vertex per block and one
+edge per circularly consecutive label pair (see
+:func:`~sampspectra.combinatorics.transition_multigraph`). Put an integer
+on each of its p edges and ask every block's inflow to equal its outflow:
+the number of such flows with values in [-M..M], written zeta_M here, is a
+polynomial in (2M+1) of degree p - k + 1, and its leading coefficient is the
+path's volume coefficient v, a rational number in [0, 1]. v = 1 exactly when
+the path reduces to the empty path; crossing survivors have v <= 2/3.
 
-The module computes zeta_M exactly with integer arithmetic. The solutions
-form a lattice polytope (the constraint matrix is a graph's incidence
-matrix, hence totally unimodular), so by Ehrhart-Macdonald reciprocity the
-count is even or odd in 2M+1 with D = p - k + 1, and D // 2 + 3 exact counts
-fix it: v is the leading Newton divided difference over the squared nodes,
-with the next two checked to be zero. The module also offers an
-independent floating-point cross-check that integrates a product of
-band-limited sinc factors by the midpoint rule at the Nyquist step,
-refining only the truncation half-width up to a per-dimension cap on grid
-points per axis, with Aitken extrapolation of the truncation error.
+The module computes zeta_M exactly with integer arithmetic. The flows form
+a lattice polytope (a graph's incidence matrix is totally unimodular), so
+by Ehrhart-Macdonald reciprocity the count is even or odd in 2M+1 with
+D = p - k + 1, and D // 2 + 3 exact counts fix it: v is the leading Newton
+divided difference over the squared nodes, with the next two checked to be
+zero. The module also offers an independent floating-point cross-check
+that integrates a product of band-limited sinc factors, one per edge, by
+the midpoint rule at the Nyquist step, refining only the truncation
+half-width up to a per-dimension cap on grid points per axis, with Aitken
+extrapolation of the truncation error.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,137 +37,92 @@ from .combinatorics import (
     PathLike,
     multigraph_class,
     reduce_path,
+    transition_multigraph,
 )
 from .errors import CapacityError, ConvergenceError, IntegrityError
-
-
-@dataclass(frozen=True)
-class VolumeResult:
-    """Exact volume coefficient plus the lattice counts behind it."""
-
-    exact: Fraction
-    degree: int
-    fit_points: tuple
-
-
-def constraint_system(path: PathLike) -> np.ndarray:
-    """Integer k x p constraint matrix of a non-empty partition path.
-
-    Row j - 1 says: the variables at block j's positions sum to the same
-    value as the variables at those positions' circular successors. Entries
-    lie in {-1, 0, 1}, every column sums to zero, and the rank is exactly
-    k - 1 (the k rows always carry one redundancy).
-    """
-    path = PartitionPath.of(path)
-    if path.p == 0:
-        raise ValueError("constraint system needs a non-empty path")
-    labels = np.array(path.labels)
-    blocks = np.arange(1, path.k + 1)[:, None]
-    # Column i is +1 at block labels[i] and -1 at block labels[i - 1].
-    return (labels == blocks).astype(np.int64) - (np.roll(labels, 1) == blocks)
 
 
 # --- exact lattice counting -------------------------------------------------
 
 
 def zeta_count(path: PathLike, M: int) -> int:
-    """Number of integer solutions of the constraint system inside [-M..M]^p.
+    """Number of integer flows on the transition multigraph with values in [-M..M].
 
-    Counted exactly by dynamic programming over the partial sums of k - 1
-    independent constraint rows: each variable contributes one sweep over
-    its 2M+1 admissible values, and a row's partial-sum axis is only carried
-    while the sweep is inside that row's support. The full (2M+1)^p grid is
-    never touched.
+    Position i's variable flows along the edge from block w_(i-1) to block
+    w_i, and each block's inflow must equal its outflow. A loop is a free
+    variable, a factor 2M+1. The m parallel variables between two blocks act
+    only through their sum, which takes the value s in as many ways as the
+    m-fold convolution of ones(2M+1) has at s, so they merge into one
+    weighted edge. Edges are then added in the order the walk first crosses
+    them, and the state carries one axis per open block: its balance so far,
+    from the block's first edge until its last pins it to zero. A balance
+    never leaves +-M times the edge variables still to come at its block.
+    The balances sum to zero, so the busiest block's is dropped. The
+    (2M+1)^p box is never touched.
     """
     path = PartitionPath.of(path)
     if M < 0:
         raise ValueError(f"M must be non-negative, got {M}")
-    p = path.p
-    if p == 0:
-        return 1
-    k = path.k
-    if k == 1:
-        # The single constraint telescopes to 0 = 0 around the circle.
-        return (2 * M + 1) ** p
-    # Any one row is implied by the others; dropping the block that contains
-    # position p removes the only row whose support wraps past the end,
-    # which keeps the active windows short.
-    drop = path.labels[-1] - 1
-    kept = [
-        row for j, row in enumerate(constraint_system(path)) if j != drop and row.any()
-    ]
-
-    dtype = object if (2 * M + 1) ** p >= 2**62 else np.int64
-    starts = [int(np.flatnonzero(row)[0]) for row in kept]
-
+    dtype = object if (2 * M + 1) ** path.p >= 2**62 else np.int64
+    edges = transition_multigraph(path.labels)
+    left = Counter()  # edge variables still to come at each block
+    for (a, b), m in edges.items():
+        if a != b:
+            left[a] += m
+            left[b] += m
+    drop = max(left, key=left.get, default=None)
     state = np.ones((), dtype=dtype)
-    active = []  # indices into kept, in axis order
-    lo = []
-    hi = []
-    rem = []  # remaining absolute coefficient mass of each active row
-    free_exponent = 0
-
-    for col in range(p):
-        for j in range(len(kept)):
-            if starts[j] == col:
-                state = state[..., np.newaxis]
-                active.append(j)
-                lo.append(0)
-                hi.append(0)
-                rem.append(int(np.abs(kept[j]).sum()))
-        coeffs = [int(kept[j][col]) for j in active]
-        if not any(coeffs):
-            free_exponent += 1
+    blocks, half = [], []  # open blocks in axis order, balance windows [-half, half]
+    free = 0
+    for (a, b), m in edges.items():
+        if a == b:
+            free += m
             continue
-
-        new_lo, new_hi = [], []
-        for a, c in enumerate(coeffs):
-            r_after = rem[a] - abs(c)
-            nl = max(lo[a] - abs(c) * M, -r_after * M)
-            nh = min(hi[a] + abs(c) * M, r_after * M)
-            if nl > nh:
-                return 0  # partial sum can no longer return to zero
-            new_lo.append(nl)
-            new_hi.append(nh)
-        new_state = np.zeros(
-            [h - l + 1 for l, h in zip(new_lo, new_hi)], dtype=dtype
-        )
-        for t in range(-M, M + 1):
-            src, dst = [], []
-            feasible = True
-            for a, c in enumerate(coeffs):
-                s = t * c
-                d0 = max(lo[a] + s, new_lo[a])
-                d1 = min(hi[a] + s, new_hi[a])
-                if d0 > d1:
-                    feasible = False
+        left[a] -= m
+        left[b] -= m
+        ends = []  # (axis, sign) of the edge's tracked endpoints
+        for block, sign in ((a, 1), (b, -1)):
+            if block == drop:
+                continue
+            if block not in blocks:
+                state = state[..., np.newaxis]
+                blocks.append(block)
+                half.append(0)
+            ends.append((blocks.index(block), sign))
+        weight = functools.reduce(np.convolve, [np.ones(2 * M + 1, dtype=dtype)] * m)
+        reach = m * M
+        new_half = list(half)
+        for axis, _ in ends:
+            new_half[axis] = min(half[axis] + reach, left[blocks[axis]] * M)
+        new_state = np.zeros([2 * h + 1 for h in new_half], dtype=dtype)
+        for s in range(-reach, reach + 1):
+            src, dst = [slice(None)] * state.ndim, [slice(None)] * state.ndim
+            for axis, sign in ends:
+                # Balance x moves to x + sign s, which must stay in the new window.
+                t, h, nh = sign * s, half[axis], new_half[axis]
+                first, last = max(t - h, -nh), min(t + h, nh)
+                if first > last:
                     break
-                dst.append(slice(d0 - new_lo[a], d1 - new_lo[a] + 1))
-                src.append(slice(d0 - s - lo[a], d1 - s - lo[a] + 1))
-            if feasible:
-                new_state[tuple(dst)] += state[tuple(src)]
-        state = new_state
-        lo, hi = new_lo, new_hi
-        rem = [r - abs(c) for r, c in zip(rem, coeffs)]
-
-        for a in range(len(active) - 1, -1, -1):
-            if rem[a] == 0:  # axis has collapsed onto partial sum 0
-                state = state.squeeze(axis=a)
-                del active[a], lo[a], hi[a], rem[a]
-
-    count = int(state.item() if state.ndim == 0 else state.sum())
-    return count * (2 * M + 1) ** free_exponent
+                dst[axis] = slice(first + nh, last + nh + 1)
+                src[axis] = slice(first - t + h, last - t + h + 1)
+            else:
+                new_state[tuple(dst)] += weight[s + reach] * state[tuple(src)]
+        state, half = new_state, new_half
+        for axis in sorted((axis for axis, _ in ends if not left[blocks[axis]]), reverse=True):
+            state = state.squeeze(axis=axis)  # the balance has closed on zero
+            del blocks[axis], half[axis]
+    return int(state) * (2 * M + 1) ** free
 
 
 # --- exact volume as a divided difference ----------------------------------
 
 
-def volume_exact(path: PathLike) -> VolumeResult:
+def volume_exact(path: PathLike) -> Fraction:
     """Exact volume coefficient of a path.
 
-    zeta_M is the Ehrhart polynomial of the lattice polytope ker W cut by
-    [-1, 1]^p, and the polytope's interior holds exactly the points of the
-    next smaller box, so reciprocity gives L(-M) = (-1)^D L(M - 1): in
+    zeta_M is the Ehrhart polynomial of the lattice polytope of flows with
+    values in [-1, 1], and the polytope's interior holds exactly the points
+    of the next smaller box, so reciprocity gives L(-M) = (-1)^D L(M - 1): in
     x = 2M + 1 the degree-D count is x^r Q(x^2) with r = D mod 2 and
     h = deg Q = D // 2, where D = p - k + 1. So only M = 0..h+2 are counted,
     h + 3 counts, and the Newton divided differences of zeta_M / x^r over
@@ -179,13 +135,13 @@ def volume_exact(path: PathLike) -> VolumeResult:
     if path.p > MAX_ORDER:
         raise CapacityError(f"path order {path.p} exceeds the maximum {MAX_ORDER}")
     if path.p == 0:
-        return VolumeResult(exact=Fraction(1), degree=0, fit_points=((0, 1),))
+        return Fraction(1)
     degree = path.p - path.k + 1
     half, odd = divmod(degree, 2)
-    points = tuple((M, zeta_count(path, M)) for M in range(half + 3))
-    nodes = [(2 * M + 1) ** 2 for M, _ in points]
+    counts = [zeta_count(path, M) for M in range(half + 3)]
+    nodes = [(2 * M + 1) ** 2 for M in range(half + 3)]
     # Entry L of diffs is the divided difference over nodes 0..L.
-    table = [Fraction(z, (2 * M + 1) ** odd) for M, z in points]
+    table = [Fraction(z, (2 * M + 1) ** odd) for M, z in enumerate(counts)]
     diffs = [table[0]]
     for level in range(1, half + 3):
         table = [
@@ -203,7 +159,7 @@ def volume_exact(path: PathLike) -> VolumeResult:
     exact = diffs[half]
     if not 0 <= exact <= 1:
         raise IntegrityError(f"volume coefficient {exact} outside [0, 1]")
-    return VolumeResult(exact=exact, degree=degree, fit_points=points)
+    return exact
 
 
 _volume_cache: dict = {}
@@ -221,7 +177,7 @@ def volume_of(path: PathLike) -> Fraction:
     key = multigraph_class(reduced.labels)
     cached = _volume_cache.get(key)
     if cached is None:
-        cached = volume_exact(reduced).exact
+        cached = volume_exact(reduced)
         with _cache_lock:
             _volume_cache[key] = cached
     return cached
@@ -244,9 +200,9 @@ _BASE_HALF_WIDTH = 8
 def volume_quadrature(path: PathLike, tolerance: float) -> float:
     """Volume coefficient as a truncated sinc-product integral.
 
-    The constraint system's solution density equals the integral over
-    R^(k-1) of the product of sinc(y_a - y_b) over circularly consecutive
-    label pairs (a, b), with the last label's variable pinned to zero.
+    The density of the flows equals the integral over R^(k-1) of the
+    product of sinc(y_a - y_b) over the edges (a, b) of the transition
+    multigraph, with block k's variable pinned to zero.
     Along y_a the product is band-limited to |xi| <= deg(a) / 2, deg(a)
     being twice block a's size, so by Poisson summation the midpoint rule
     with step 1 / deg_max is exact on R^(k-1). Only the grid's half-width Y
@@ -314,10 +270,8 @@ def _grid_estimate(path, half_width, rate):
     step = 1.0 / rate
     y = -half_width + (np.arange(n) + 0.5) * step
     lags = np.sinc(np.arange(1 - n, n) * step)
-    w = path.labels
-    exponents = Counter(tuple(sorted(pair)) for pair in zip(w, w[1:] + w[:1]))
     subscripts, operands = [], []
-    for (a, b), e in exponents.items():
+    for (a, b), e in transition_multigraph(path.labels).items():
         if b == path.k:
             subscripts.append("ijl"[a - 1])
             operands.append(np.sinc(y) ** e)

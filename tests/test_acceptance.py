@@ -72,7 +72,7 @@ def test_criterion_01_exact_fourth_moment_expansion():
 def test_criterion_02_exact_and_quadrature_volume():
     start = time.perf_counter()
     path = PartitionPath.of([1, 2, 1, 2])
-    exact = volume_exact(path).exact
+    exact = volume_exact(path)
     quadrature = volume_quadrature(path, tolerance=1e-6)
     elapsed = time.perf_counter() - start
     print(f"criterion 2: exact={exact} quadrature={quadrature!r} "

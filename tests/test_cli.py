@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import sampspectra.cli
+import sampspectra.field_sim
 import sampspectra.volumes
 from sampspectra.cli import main
 from sampspectra.field_sim import estimate_bytes
@@ -182,6 +183,21 @@ class TestMse:
         assert main(["mse", "--d", "1", "--M", "4", "--beta", "1.5",
                      "--snr", "10"]) == 2
         capsys.readouterr()
+
+    def test_nan_in_the_matrix_exits_four(self, monkeypatch, capsys):
+        build_T = sampspectra.field_sim.build_T
+
+        def with_nan(instance, max_bytes=None):
+            R = build_T(instance, max_bytes)
+            R[0, 1] = R[1, 0] = float("nan")
+            return R
+
+        monkeypatch.setattr(sampspectra.field_sim, "build_T", with_nan)
+        assert main(["mse", "--d", "1", "--M", "4", "--beta", "0.5",
+                     "--snr", "10", "--trials", "1"]) == 4
+        captured = capsys.readouterr()
+        assert "non-Hermitian" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_capacity_precheck_leaves_no_output(self, tmp_path, capsys):
         out = tmp_path / "never.csv"

@@ -14,6 +14,7 @@ from sampspectra.combinatorics import (
     reduce_path,
     reduction_trace,
     stirling2,
+    transition_multigraph,
 )
 
 def _to_rgs(raw):
@@ -195,3 +196,24 @@ class TestCores:
         assert counts == [1, 0, 0, 0, 1, 0, 5, 14, 66, 307]
         with pytest.raises(ValueError):
             list(iter_cores(-1))
+
+
+class TestTransitionMultigraph:
+    def test_edges_loops_and_first_crossing_order(self):
+        # Pairs (1,1), (1,2), (2,1), (1,2), (2,3), (3,1) around the circle.
+        edges = transition_multigraph([1, 1, 2, 1, 2, 3])
+        assert edges == Counter({(1, 1): 1, (1, 2): 3, (2, 3): 1, (1, 3): 1})
+        assert list(edges) == [(1, 1), (1, 2), (2, 3), (1, 3)]
+
+    @given(rgs)
+    @settings(deadline=None, max_examples=60)
+    def test_one_edge_per_position_and_even_degrees(self, labels):
+        edges = transition_multigraph(labels)
+        assert sum(edges.values()) == len(labels)
+        degree = Counter()
+        for (a, b), m in edges.items():
+            assert a <= b
+            degree[a] += m
+            degree[b] += m
+        # A closed walk enters and leaves each block once per visit.
+        assert degree == Counter({v: 2 * n for v, n in Counter(labels).items()})

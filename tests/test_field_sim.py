@@ -161,6 +161,18 @@ class TestSynthesisMatrix:
         with pytest.raises(IntegrityError, match="Frobenius"):
             build_T(instance_for(2, 3, 0.5, 5))
 
+    def test_gather_that_leaves_a_nan_fails(self, monkeypatch):
+        gather = field_sim._gather_real
+
+        def with_nan(re, im, u, offset):
+            R = gather(re, im, u, offset)
+            R[0, 1] = R[1, 0] = np.nan
+            return R
+
+        monkeypatch.setattr(field_sim, "_gather_real", with_nan)
+        with pytest.raises(IntegrityError, match="Frobenius"):
+            build_T(instance_for(2, 3, 0.5, 5))
+
     def test_chunked_sums_match_one_chunk(self, monkeypatch):
         instance = instance_for(2, 3, 0.5, 6)
         whole = build_T(instance)
@@ -227,6 +239,16 @@ class TestSpectra:
             with pytest.raises(IntegrityError, match="non-Hermitian"):
                 hermitian_eigenvalues(T, instance)
 
+    @pytest.mark.parametrize("i, j", [(0, 1), (80, 79), (2, 70), (40, 40)])
+    def test_rejects_a_symmetric_nan(self, i, j):
+        # T stays symmetric, but every comparison with nan is false, so the
+        # check must fail on it before eigvalsh raises numpy's LinAlgError.
+        instance = instance_for(1, 40, 0.5, 0)
+        T = build_T(instance)
+        T[i, j] = T[j, i] = np.nan
+        with pytest.raises(IntegrityError, match="non-Hermitian"):
+            hermitian_eigenvalues(T, instance)
+
     def test_rejects_non_square(self):
         instance = instance_for(1, 3, 0.5, 0)
         with pytest.raises(ValueError):
@@ -240,8 +262,9 @@ class TestSpectra:
         direct = float(np.mean(shift / (sample.eigenvalues + shift)))
         assert empirical_lmmse(sample, 0.1) == pytest.approx(direct, rel=1e-14)
         assert empirical_lmmse(sample, 1e9) == pytest.approx(1.0, abs=1e-6)
-        with pytest.raises(ValueError):
-            empirical_lmmse(sample, -0.5)
+        for alpha in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                empirical_lmmse(sample, alpha)
 
 
 class TestSpectrumChecks:
@@ -291,6 +314,14 @@ class TestSpectrumChecks:
         nudged[1, 0] += np.conj(step)
         self.solver_returns(monkeypatch, np.linalg.eigvalsh(nudged))
         with pytest.raises(IntegrityError, match="Frobenius"):
+            hermitian_eigenvalues(T, instance)
+
+    def test_nan_spectrum_fails_trace(self, case, monkeypatch):
+        instance, T, lam = case
+        bad = lam.copy()
+        bad[-1] = np.nan
+        self.solver_returns(monkeypatch, bad)
+        with pytest.raises(IntegrityError, match="disagrees with trace"):
             hermitian_eigenvalues(T, instance)
 
     def test_eigenvalue_below_clamp_floor(self):
@@ -448,6 +479,16 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             draw_realization(instance, -1.0, (0, 0), G=G)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        instance = instance_for(1, 3, 0.5, 1)
+        G = build_G(instance)
+        realization = draw_realization(instance, 0.1, (1, 0), G=G)
+        with pytest.raises(ValueError, match="finite"):
+            draw_realization(instance, alpha, (1, 0), G=G)
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_field(instance, realization, alpha, G=G)
+
 
 class TestNormalSystem:
     """The normal matrix is built and inverted once per (instance, alpha)."""
@@ -530,6 +571,16 @@ class TestNormalSystem:
         instance = instance_for(2, 3, 0.5, 36)
         G = build_G(instance)
         realization = draw_realization(instance, 0.1, (36, 0), G=G)
+        with pytest.raises(IntegrityError, match="residual"):
+            reconstruct_field(instance, realization, 0.1, G=G)
+
+    def test_nan_inverse_fails_the_residual_check(self, builds, monkeypatch):
+        # A nan residual compares false with any bound, so the check must
+        # fail on it rather than pass it.
+        monkeypatch.setattr(np.linalg, "inv", lambda A: np.full_like(A, np.nan))
+        instance = instance_for(2, 3, 0.5, 37)
+        G = build_G(instance)
+        realization = draw_realization(instance, 0.1, (37, 0), G=G)
         with pytest.raises(IntegrityError, match="residual"):
             reconstruct_field(instance, realization, 0.1, G=G)
 

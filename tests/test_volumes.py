@@ -19,7 +19,6 @@ from sampspectra.combinatorics import (
 from sampspectra.errors import CapacityError, ConvergenceError, IntegrityError
 from sampspectra.volumes import (
     clear_volume_cache,
-    constraint_system,
     volume_exact,
     volume_of,
     volume_quadrature,
@@ -27,15 +26,72 @@ from sampspectra.volumes import (
 )
 
 
+CLASS_VOLUMES = {
+    "1212": Fraction(2, 3),
+    "121212": Fraction(11, 20),
+    "121323": Fraction(1, 2),
+    "1212313": Fraction(9, 20),
+    "12121212": Fraction(151, 315),
+    "12121313": Fraction(4, 9),
+    "12121323": Fraction(71, 180),
+    "12123434": Fraction(9, 20),
+    "12132434": Fraction(11, 30),
+    "12134243": Fraction(2, 5),
+    "121212313": Fraction(233, 630),
+    "121213434": Fraction(4, 9),
+    "121231323": Fraction(12, 35),
+    "121231434": Fraction(61, 180),
+    "121314234": Fraction(19, 60),
+    "1212121212": Fraction(15619, 36288),
+    "1212121313": Fraction(11, 30),
+    "1212121323": Fraction(1699, 5040),
+    "1212123434": Fraction(233, 630),
+    "1212131323": Fraction(1597, 5040),
+    "1212131434": Fraction(1, 3),
+    "1212132434": Fraction(92, 315),
+    "1212134243": Fraction(43, 140),
+    "1212134343": Fraction(4, 9),
+    "1212313414": Fraction(383, 1260),
+    "1212313424": Fraction(47, 168),
+    "1212313434": Fraction(383, 1260),
+    "1212323414": Fraction(43, 140),
+    "1212343545": Fraction(61, 180),
+    "1212345453": Fraction(4, 9),
+    "1213142324": Fraction(181, 630),
+    "1213243545": Fraction(49, 180),
+    "1213245354": Fraction(13, 45),
+    "1213452543": Fraction(1, 3),
+    "1231425345": Fraction(1, 4),
+}
+
+
 def zeta_brute(labels, M):
     # Direct enumeration of integer vectors in [-M, M]^p against the
-    # constraint matrix; exponential, so keep p and M tiny.
-    W = constraint_system(PartitionPath.of(labels))
+    # constraint matrix: row j - 1 weighs block j's positions +1 and their
+    # circular successors -1. Exponential, so keep p and M tiny.
+    labels = np.array(labels)
+    blocks = np.arange(1, labels.max(initial=0) + 1)[:, None]
+    W = (labels == blocks).astype(int) - (np.roll(labels, 1) == blocks)
     count = 0
     for z in itertools.product(range(-M, M + 1), repeat=len(labels)):
         if not (W @ z).any():
             count += 1
     return count
+
+
+def class_representatives(max_order):
+    # The first core that iter_cores gives for each multigraph class.
+    reps = {}
+    for e in range(1, max_order + 1):
+        for core in iter_cores(e):
+            reps.setdefault(multigraph_class(core), core)
+    return list(reps.values())
+
+
+def relabelled(labels):
+    # Renumber blocks by first appearance, back to restricted growth.
+    seen = {}
+    return tuple(seen.setdefault(v, len(seen) + 1) for v in labels)
 
 
 def lagrange_eval(points, x):
@@ -72,34 +128,6 @@ def _to_rgs(raw):
         labels.append(label)
         mx = max(mx, label)
     return tuple(labels)
-
-
-class TestConstraintSystem:
-    def test_alternating_pair_matrix(self):
-        W = constraint_system(PartitionPath.of([1, 2, 1, 2]))
-        assert W.dtype == np.int64
-        assert W.tolist() == [[1, -1, 1, -1], [-1, 1, -1, 1]]
-
-    def test_shape_entries_and_column_sums(self):
-        for p in range(1, 7):
-            for labels in iter_partition_paths(p):
-                W = constraint_system(PartitionPath.of(labels))
-                assert W.shape == (max(labels), p)
-                assert set(np.unique(W)) <= {-1, 0, 1}
-                assert not W.sum(axis=0).any()
-
-    def test_rank_is_blocks_minus_one(self):
-        for p in range(1, 7):
-            for labels in iter_partition_paths(p):
-                W = constraint_system(PartitionPath.of(labels))
-                assert np.linalg.matrix_rank(W) == max(labels) - 1
-
-    def test_each_row_is_redundant(self):
-        # Rows sum to zero, so dropping any one keeps the solution set.
-        W = constraint_system(PartitionPath.of([1, 2, 3, 1, 2, 3]))
-        for drop in range(3):
-            kept = np.delete(W, drop, axis=0)
-            assert np.linalg.matrix_rank(kept) == 2
 
 
 class TestZetaCount:
@@ -139,10 +167,28 @@ class TestZetaCount:
     def test_matches_brute_force_random(self, labels, M):
         assert zeta_count(labels, M) == zeta_brute(labels, M)
 
+    def test_every_class_to_order_eight_matches_brute_force(self):
+        cores = class_representatives(8)
+        assert len(cores) == 10
+        for core in cores:
+            assert zeta_count(core, 1) == zeta_brute(core, 1), core
+
+    def test_rotation_reflection_and_relabelling_keep_the_count(self):
+        # Each variant walks the same multigraph from another start or the
+        # other way round, so its blocks are renumbered, a different block
+        # is dropped and the edges are added in a different order.
+        for core in class_representatives(9):
+            expected = [zeta_count(core, M) for M in (1, 2)]
+            for shift in range(len(core)):
+                rotated = core[shift:] + core[:shift]
+                for variant in (rotated, rotated[::-1]):
+                    variant = relabelled(variant)
+                    assert [zeta_count(variant, M) for M in (1, 2)] == expected, variant
+
 
 class TestVolumeExact:
     def test_empty_path(self):
-        assert volume_exact(PartitionPath.of([])).exact == 1
+        assert volume_exact(PartitionPath.of([])) == 1
 
     @pytest.mark.parametrize("labels, value", [
         ([1], 1), ([1, 1], 1), ([1, 2], 1), ([1, 2, 2, 1], 1),
@@ -155,15 +201,13 @@ class TestVolumeExact:
     def test_known_volumes(self, labels, value):
         # Fractions frozen from the interpolation itself after its lattice
         # counts were cross-checked against brute-force enumeration.
-        result = volume_exact(PartitionPath.of(labels))
-        assert result.exact == value
+        assert volume_exact(PartitionPath.of(labels)) == value
 
-    def test_fit_metadata(self):
-        # Degree 3 is odd, so the count is x Q(x^2) with deg Q = 1: two
-        # points fix Q and two more are the vanishing checkpoints.
-        result = volume_exact(PartitionPath.of([1, 2, 1, 2]))
-        assert result.degree == 3
-        assert result.fit_points == ((0, 1), (1, 19), (2, 85), (3, 231))
+    def test_class_volumes_to_order_ten(self):
+        # Frozen from the constraint-matrix lattice counts that preceded the
+        # flow count, keyed by the first core of each class.
+        assert {"".join(map(str, core)): volume_exact(core)
+                for core in class_representatives(10)} == CLASS_VOLUMES
 
     def test_volume_in_unit_interval(self):
         for p in range(1, 7):
@@ -174,7 +218,7 @@ class TestVolumeExact:
     def test_invariant_under_reduction(self):
         for p in range(1, 7):
             for labels in iter_partition_paths(p):
-                direct = volume_exact(PartitionPath.of(labels)).exact
+                direct = volume_exact(PartitionPath.of(labels))
                 assert direct == volume_of(labels)
 
     @pytest.mark.parametrize("labels", [
@@ -186,7 +230,16 @@ class TestVolumeExact:
         # that must vanish.
         path = PartitionPath.of(labels)
         true_zeta = sampspectra.volumes.zeta_count
-        for bad_M, _ in volume_exact(path).fit_points:
+        # The parity fit counts M = 0..D//2+2, D = p - k + 1.
+        counted = list(range((path.p - path.k + 1) // 2 + 3))
+        seen = []
+        monkeypatch.setattr(
+            sampspectra.volumes, "zeta_count",
+            lambda path, M: seen.append(M) or true_zeta(path, M),
+        )
+        volume_exact(path)
+        assert seen == counted
+        for bad_M in counted:
             monkeypatch.setattr(
                 sampspectra.volumes, "zeta_count",
                 lambda path, M, bad_M=bad_M: true_zeta(path, M) + (M == bad_M),
@@ -212,12 +265,9 @@ class TestVolumeExact:
         # Independent of the parity fit: interpolate the counts at
         # M = 0..D+2 in x = 2M + 1 by a polynomial of degree D + 2, expand
         # it into monomials, and check that only degrees D, D-2, ... occur.
-        reps = {}
-        for e in range(1, 11):
-            for core in iter_cores(e):
-                reps.setdefault(multigraph_class(core), core)
-        assert len(reps) == 35
-        for core in reps.values():
+        cores = class_representatives(10)
+        assert len(cores) == 35
+        for core in cores:
             path = PartitionPath.of(core)
             degree = path.p - path.k + 1
             xs = [2 * M + 1 for M in range(degree + 3)]
@@ -226,7 +276,7 @@ class TestVolumeExact:
             )
             assert not any(coeffs[degree + 1:]), core
             assert not any(coeffs[degree - 1::-2]), core
-            assert coeffs[degree] == volume_exact(path).exact, core
+            assert coeffs[degree] == volume_exact(path), core
 
 
 class TestVolumeOf:
@@ -271,7 +321,7 @@ class TestVolumeOf:
                 if not options:
                     break
                 scrambled = remove(scrambled, rng.choice(options))
-            assert volume_exact(PartitionPath.of(scrambled)).exact == volume_of(labels)
+            assert volume_exact(PartitionPath.of(scrambled)) == volume_of(labels)
             assert reduce_path(scrambled).p == reduce_path(labels).p
 
 
@@ -305,7 +355,7 @@ class TestMultigraphClass:
         clear_volume_cache()
         for labels in sorted(survivors) + sorted(sampled):
             survivor = PartitionPath.of(labels)
-            assert volume_exact(survivor).exact == volume_of(survivor), labels
+            assert volume_exact(survivor) == volume_of(survivor), labels
 
     def test_relabelling_blocks_keeps_the_class(self):
         rng = random.Random(7)
@@ -328,8 +378,8 @@ class TestMultigraphClass:
         for labels in (doubled, uneven):
             assert reduce_path(labels).labels == labels
         assert class_key(doubled) != class_key(uneven)
-        assert volume_exact(PartitionPath.of(doubled)).exact == Fraction(2, 5)
-        assert volume_exact(PartitionPath.of(uneven)).exact != Fraction(2, 5)
+        assert volume_exact(PartitionPath.of(doubled)) == Fraction(2, 5)
+        assert volume_exact(PartitionPath.of(uneven)) != Fraction(2, 5)
 
 
 class TestVolumeQuadrature:
@@ -351,7 +401,7 @@ class TestVolumeQuadrature:
         # The truncation error of 1,2,1,2,3,4,3,4 only halves per doubling
         # of the half-width; extrapolated, it is within 1e-5 by Y = 64.
         path = PartitionPath.of([1, 2, 1, 2, 3, 4, 3, 4])
-        assert volume_exact(path).exact == Fraction(9, 20)
+        assert volume_exact(path) == Fraction(9, 20)
         q = volume_quadrature(path, tolerance=1e-5)
         assert abs(q - 9 / 20) < 1e-5
 
@@ -367,7 +417,7 @@ class TestVolumeQuadrature:
         for labels in chosen:
             path = unique[labels]
             q = volume_quadrature(path, tolerance=1e-4)
-            assert abs(q - float(volume_exact(path).exact)) <= 5e-4, labels
+            assert abs(q - float(volume_exact(path))) <= 5e-4, labels
 
     @pytest.mark.parametrize("labels", [
         [1, 2, 1, 2], [1, 2, 3, 1, 2, 3], [1, 2, 3, 1, 4, 2, 3, 4],
