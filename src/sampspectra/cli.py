@@ -161,11 +161,21 @@ def _resolve_snrs(args) -> list:
     for snr_db in snrs:
         if not snr_db > -np.inf:  # also false for nan
             raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
+        _alpha_of(snr_db)  # reject an SNR whose noise ratio overflows before any work
     return snrs
 
 
 def _alpha_of(snr_db: float) -> float:
-    return 0.0 if snr_db == np.inf else 10.0 ** (-snr_db / 10.0)
+    """Noise-to-signal power ratio 10^(-SNR/10); inf dB is the noiseless 0."""
+    if snr_db == np.inf:
+        return 0.0
+    try:
+        return 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"SNR {snr_db} dB gives a noise ratio 10^{-snr_db / 10.0:g}, "
+            f"beyond the float range"
+        ) from None
 
 
 # --- subcommands ----------------------------------------------------------------

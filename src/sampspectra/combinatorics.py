@@ -28,10 +28,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-#: Largest order accepted by ``volume_exact`` and ``moment_expansion``. The
-#: binomial identity behind ``moment_expansion`` is verified by enumeration
-#: through p = 13.
-MAX_ORDER = 12
+#: Largest order accepted by ``volume_exact`` and ``moment_expansion``: the
+#: committed core-class table (:mod:`sampspectra._core_classes`) holds every
+#: class of order at most 14. The binomial identity behind
+#: ``moment_expansion`` is verified by enumeration through p = 13.
+MAX_ORDER = 14
 
 PathLike = Union["PartitionPath", Sequence[int]]
 
@@ -306,7 +307,7 @@ def _canonical_form(edges: tuple) -> tuple:
     sorted (neighbour degree, multiplicity) pairs of its edges. So only
     relabellings that sort vertices by colour are tried, permuting within
     each colour group. A core of order e has at most e/2 vertices, so at
-    e <= 12 this is at most 6! orderings. Memoized, because many cores
+    e <= 14 this is at most 7! orderings. Memoized, because many cores
     share one labelled multigraph.
     """
     degree = {}

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConvergenceError
 from .moments import moment_limit
 
-#: Square roots in the closed form may go fractionally negative through
-#: rounding; anything this far below zero signals corrupted inputs instead.
+#: The closed form may round fractionally outside [0, 1]; anything this far
+#: outside signals corrupted inputs instead.
 _DOMAIN_SLACK = 1e-12
 
 #: Node counts of the first and the largest midpoint rule in mp_expectation.
@@ -76,6 +76,11 @@ def mp_lmmse(beta: float, alpha: float) -> float:
     theta = 1 + beta (1 + alpha). Its numerator cancels at low SNR, so the
     equal form 2 alpha beta / (1 - beta + alpha beta + sqrt(theta^2 - 4 beta))
     is evaluated instead: every term of its denominator is non-negative.
+    The root is taken of the two factors (1 -+ sqrt(beta))^2 + alpha beta
+    of theta^2 - 4 beta, the first as ((1 - beta) / (1 + sqrt(beta)))^2,
+    which does not cancel near beta = 1, and the denominator is halved term
+    by term, so nothing overflows for any finite alpha (theta^2 itself
+    does once alpha passes about 1e154).
     """
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
@@ -83,13 +88,10 @@ def mp_lmmse(beta: float, alpha: float) -> float:
         raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
     if alpha == 0:
         return 0.0
-    theta = 1 + beta * (1 + alpha)
-    disc = theta * theta - 4 * beta
-    if disc < -_DOMAIN_SLACK:
-        raise ValueError(
-            f"discriminant {disc} is negative; beta/alpha inputs are corrupted"
-        )
-    value = 2 * alpha * beta / (1 - beta + alpha * beta + math.sqrt(max(disc, 0.0)))
+    ab = alpha * beta
+    rb = math.sqrt(beta)
+    root = math.sqrt(((1 - beta) / (1 + rb)) ** 2 + ab) * math.sqrt((1 + rb) ** 2 + ab)
+    value = ab / ((1 - beta) / 2 + ab / 2 + root / 2)
     if value < -_DOMAIN_SLACK or value > 1 + _DOMAIN_SLACK:
         raise ValueError(f"closed form produced {value}, outside [0, 1]")
     return min(max(value, 0.0), 1.0)

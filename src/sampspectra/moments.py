@@ -9,13 +9,20 @@ depend on d only through the powers v^d. Non-crossing paths all have v = 1,
 so as d grows the moments decrease monotonically to the Narayana polynomial
 Nar_p(beta), which is the Marchenko-Pastur moment.
 
-The expansion is built from cores (see :mod:`sampspectra.combinatorics`). If class
-c has e_c elements, v_c blocks, volume vol_c and A_c cores, then
-A_c C(p, k - v_c) C(p, k + e_c - v_c) paths of order p with k blocks reduce
-into c (verified by enumeration through p = 13), so
+The expansion is built from core classes (see
+:mod:`sampspectra.combinatorics`). If class c has e_c elements, v_c blocks,
+volume vol_c and A_c cores, then A_c C(p, k - v_c) C(p, k + e_c - v_c)
+paths of order p with k blocks reduce into c (verified by enumeration
+through p = 13), so
 
     m_p(d, beta) = Nar_p(beta) + sum over classes c with e_c <= p of
                    A_c vol_c^d sum_k C(p, k - v_c) C(p, k + e_c - v_c) beta^(p - k).
+
+The classes come from a committed table, :mod:`sampspectra._core_classes`,
+so no core is listed and no lattice point counted at run time. A test
+rebuilds its rows through e = 12 from the cores; the rows of order 13 and
+14 were written by ``python scripts/core_classes.py --write``, and at
+p = 14 the expansion also rests on its check against the Stirling numbers.
 """
 
 from __future__ import annotations
@@ -29,13 +36,12 @@ from .combinatorics import (
     MAX_ORDER,
     bell,
     catalan,
-    iter_cores,
     iter_partition_paths,  # noqa: F401  wrapped by perfbench/tracer.py
-    multigraph_class,
     narayana,
+    stirling2,
 )
-from .errors import CapacityError
-from .volumes import volume_of
+from .errors import CapacityError, IntegrityError
+from .volumes import volume_of  # noqa: F401  wrapped by perfbench/tracer.py
 
 
 @dataclass(frozen=True)
@@ -65,11 +71,19 @@ def moment_expansion(p: int) -> MomentExpansion:
     unreduced path, and come out sorted by (k, volume) so the expansion is
     deterministic. Orders beyond ``MAX_ORDER`` are refused up front.
 
-    The non-crossing paths give the Narayana numbers, and each core of
-    order e with v blocks adds C(p, k - v) C(p, k + e - v) paths with k
-    blocks: 394 cores stand for the 21,147 paths at p = 9. Cores are grouped
-    by :func:`~sampspectra.combinatorics.multigraph_class` first, so
-    ``volume_of`` is asked, and the binomial sum run, once per class.
+    The non-crossing paths give the Narayana numbers, and each core class
+    of order e with v blocks and A_c cores adds A_c C(p, k - v)
+    C(p, k + e - v) paths with k blocks: 16 classes of 394 cores stand for
+    the 21,147 paths at p = 9. The classes are read from the committed
+    table (:func:`_class_rows`). Rows through e = 12 are rebuilt from the
+    cores by a test; rows of order 13 and 14 come from
+    ``scripts/core_classes.py --write``. The binomial identity is verified
+    by enumeration through p = 13, and p = 14 also rests on the check
+    below.
+
+    Raises IntegrityError when a row read has a volume outside (0, 2/3] or
+    when, for some k, the multiplicities do not sum to the Stirling number
+    S(p, k), the count of all paths with k blocks.
     """
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
@@ -78,22 +92,49 @@ def moment_expansion(p: int) -> MomentExpansion:
             f"moment order {p} exceeds the configured maximum {MAX_ORDER}"
         )
     agg = {(Fraction(1), k): narayana(p, k) for k in range(1, p + 1)}
-    for e in range(1, p + 1):
-        classes = {}  # class -> [first core, number of cores]
-        for core in iter_cores(e):
-            classes.setdefault(multigraph_class(core), [core, 0])[1] += 1
-        for core, count in classes.values():
-            volume, v = volume_of(core), max(core)
-            for k in range(v, p - e + v + 1):
-                key = (volume, k)
-                agg[key] = agg.get(key, 0) + (
-                    count * math.comb(p, k - v) * math.comb(p, k + e - v)
-                )
+    for e, v, count, volume in _class_rows(p):
+        for k in range(v, p - e + v + 1):
+            key = (volume, k)
+            agg[key] = agg.get(key, 0) + (
+                count * math.comb(p, k - v) * math.comb(p, k + e - v)
+            )
+    per_k = dict.fromkeys(range(1, p + 1), 0)
+    for (_, k), multiplicity in agg.items():
+        per_k[k] += multiplicity
+    for k, total in per_k.items():
+        if total != stirling2(p, k):
+            raise IntegrityError(
+                f"order {p}: multiplicities with {k} blocks sum to {total}, "
+                f"not S({p}, {k}) = {stirling2(p, k)}"
+            )
     terms = tuple(
         MomentTerm(volume=v, k=k, multiplicity=agg[(v, k)])
         for v, k in sorted(agg, key=lambda vk: (vk[1], vk[0]))
     )
     return MomentExpansion(p=p, terms=terms)
+
+
+def _class_rows(p: int):
+    """Yield (e, v, A_c, volume) for each committed core class with e <= p.
+
+    A row is a line ``labels A_c num/den`` of the generated table; e and v
+    are the length and the block count of its representative core. Rows are
+    sorted by e, so reading stops at the first one above p. The table is
+    imported on first use, not with the package.
+    """
+    from . import _core_classes
+
+    for line in _core_classes.CORE_CLASSES.splitlines():
+        core, count, volume = line.split(" ")
+        labels = [int(label) for label in core.split(",")]
+        if len(labels) > p:
+            return
+        volume = Fraction(volume)
+        if not 0 < volume <= Fraction(2, 3):
+            raise IntegrityError(
+                f"core class [{core}] has volume {volume} outside (0, 2/3]"
+            )
+        yield len(labels), max(labels), int(count), volume
 
 
 def moment_eval(expansion: MomentExpansion, d: int, beta):

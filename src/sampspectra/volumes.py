@@ -124,10 +124,11 @@ def volume_exact(path: PathLike) -> Fraction:
     values in [-1, 1], and the polytope's interior holds exactly the points
     of the next smaller box, so reciprocity gives L(-M) = (-1)^D L(M - 1): in
     x = 2M + 1 the degree-D count is x^r Q(x^2) with r = D mod 2 and
-    h = deg Q = D // 2, where D = p - k + 1. So only M = 0..h+2 are counted,
+    h = deg Q = D // 2, where D = p - k + 1. So only M = 0..h+2 are used,
     h + 3 counts, and the Newton divided differences of zeta_M / x^r over
-    the nodes x^2 are taken. Entry h is the leading coefficient, which is
-    the volume, and entries h+1 and h+2 must vanish. The empty path has
+    the nodes x^2 are taken. zeta_0 is 1 (every variable is 0), so M = 0
+    is not counted. Entry h is the leading coefficient, which is the
+    volume, and entries h+1 and h+2 must vanish. The empty path has
     volume 1 by convention. Paths longer than ``MAX_ORDER`` are refused
     before any lattice point is counted.
     """
@@ -138,7 +139,7 @@ def volume_exact(path: PathLike) -> Fraction:
         return Fraction(1)
     degree = path.p - path.k + 1
     half, odd = divmod(degree, 2)
-    counts = [zeta_count(path, M) for M in range(half + 3)]
+    counts = [1] + [zeta_count(path, M) for M in range(1, half + 3)]
     nodes = [(2 * M + 1) ** 2 for M in range(half + 3)]
     # Entry L of diffs is the divided difference over nodes 0..L.
     table = [Fraction(z, (2 * M + 1) ** odd) for M, z in enumerate(counts)]

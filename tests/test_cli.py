@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +10,11 @@ import sampspectra.cli
 import sampspectra.field_sim
 import sampspectra.volumes
 from sampspectra.cli import main
+from sampspectra.combinatorics import MAX_ORDER
 from sampspectra.field_sim import estimate_bytes
 from sampspectra.marchenko_pastur import mp_lmmse, mp_moment
+
+CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 
 
 def run_cli(*argv):
@@ -17,6 +22,13 @@ def run_cli(*argv):
         [sys.executable, "-m", "sampspectra.cli", *argv],
         capture_output=True, text=True,
     )
+
+
+def load_benchmark_checks():
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def parse_csv(text):
@@ -50,8 +62,20 @@ class TestMoments:
         assert float(rows[0][3]) == pytest.approx(0.4**2 + 3 * 0.4 + 1)
 
     def test_capacity_exit_code(self, capsys):
-        assert main(["moments", "--p", "13", "--d", "1", "--beta", "0.5"]) == 3
-        assert "13" in capsys.readouterr().err
+        p = str(MAX_ORDER + 1)
+        assert main(["moments", "--p", p, "--d", "1", "--beta", "0.5"]) == 3
+        assert p in capsys.readouterr().err
+
+    def test_highest_order_passes_the_moment_checks(self, capsys):
+        # The benchmark's checks: per block count the multiplicities sum to
+        # the Stirling number and the unit volumes to the Narayana number,
+        # crossing volumes lie in (0, 2/3], and every value follows from
+        # the printed expansion and falls with d towards the limit.
+        p = MAX_ORDER
+        assert main(["moments", "--p", str(p), "--d", "1,3", "--beta", "0.4,1",
+                     "--format", "json"]) == 0
+        output = capsys.readouterr().out
+        assert load_benchmark_checks().check_moments(output, p, [1, 3], [0.4, 1.0]) == []
 
     @pytest.mark.parametrize("d, beta", [("0", "0.5"), ("1", "1.5"), (",", "0.5")])
     def test_bad_arguments_fail_before_the_expansion(self, d, beta, monkeypatch, capsys):
@@ -123,13 +147,15 @@ class TestVolume:
         assert doc["volume"] == "1/2"
         assert abs(doc["quadrature"] - doc["volume_float"]) < 1e-6
 
-    def test_order_fourteen_core_is_refused_before_counting(self, capsys, monkeypatch):
-        # The path is its own core, two past MAX_ORDER.
+    def test_core_two_past_the_cap_is_refused_before_counting(self, capsys, monkeypatch):
+        # 1..n,1..n is its own core, of order 2n = MAX_ORDER + 2.
         def never(path, M):
             raise AssertionError("lattice points counted")
 
         monkeypatch.setattr(sampspectra.volumes, "zeta_count", never)
-        assert main(["volume", "1,2,3,4,5,6,7,1,2,3,4,5,6,7"]) == 3
+        labels = list(range(1, (MAX_ORDER + 2) // 2 + 1)) * 2
+        assert len(labels) == MAX_ORDER + 2
+        assert main(["volume", ",".join(map(str, labels))]) == 3
         captured = capsys.readouterr()
         assert "capacity error" in captured.err
         assert "Traceback" not in captured.err
@@ -265,6 +291,12 @@ class TestMp:
         assert float(rows[0][3]) == pytest.approx(0.060232526704, abs=1e-10)
         assert rows[1][1] == "inf" and float(rows[1][3]) == 0.0
 
+    def test_lowest_snr_loses_the_whole_signal(self, capsys):
+        # alpha = 1e300: theta^2 in the closed form would overflow.
+        assert main(["mp", "--beta", "0.5,1", "--snr", "-3000"]) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        assert [float(row[3]) for row in rows] == [1.0, 1.0]
+
     def test_modes_are_exclusive(self, capsys):
         assert main(["mp", "--beta", "0.4"]) == 2
         assert main(["mp", "--beta", "0.4", "--p", "3", "--snr", "10"]) == 2
@@ -322,6 +354,18 @@ class TestArgparse:
         monkeypatch.setattr(sampspectra.cli, "collect_spectra", trials_not_allowed)
         assert main(command + [f"--snr={snr}"]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--trials", "1"],
+        ["mp", "--beta", "0.5"],
+    ])
+    def test_snr_whose_noise_ratio_overflows_exits_two(self, command):
+        # 10^(4000/10) is past the float range; -3000 dB is not.
+        result = run_cli(*command, "--snr=-3000,-4000")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "-4000" in result.stderr and "float range" in result.stderr
+        assert "Traceback" not in result.stderr
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_exit_two(self, threads, capsys):

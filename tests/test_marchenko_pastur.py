@@ -126,6 +126,21 @@ class TestLmmse:
         integral = mp_expectation(lambda x: shift / (x + shift), beta)
         assert mp_lmmse(beta, alpha) == pytest.approx(integral, abs=1e-10)
 
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_no_overflow_at_any_finite_noise(self, beta):
+        # theta^2 overflows once alpha passes about 1e154; the error tends to 1.
+        for alpha in (1e154, 1e200, 1e300, 1.7e308):
+            assert mp_lmmse(beta, alpha) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-12])
+    def test_high_snr_at_beta_one_keeps_full_precision(self, alpha):
+        # At beta = 1 the form reduces to 2 sqrt(a) / (sqrt(a) + sqrt(4 + a)).
+        # Formed as theta^2 - 4, the discriminant carries theta = 2 + alpha's
+        # rounding, a relative error of about 1e-16 / alpha.
+        root = math.sqrt(alpha)
+        exact = 2 * root / (root + math.sqrt(4 + alpha))
+        assert mp_lmmse(1.0, alpha) == pytest.approx(exact, rel=1e-14)
+
     def test_monotone_in_noise(self):
         alphas = [0.0, 0.01, 0.1, 1.0, 10.0, 1e6]
         values = [mp_lmmse(0.6, a) for a in alphas]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sampspectra.combinatorics import (
+    MAX_ORDER,
     iter_cores,
     iter_partition_paths,
     multigraph_class,
@@ -110,7 +111,7 @@ class TestExpansionStructure:
                         per_core[(volume, k)] = per_core.get((volume, k), 0) + n
             assert moment_expansion(p).term_map() == per_core, p
 
-    @pytest.mark.parametrize("p", [10, 11])
+    @pytest.mark.parametrize("p", [10, 11, 12, 13, 14])
     def test_tenth_order_structure(self, p):
         by_k = {}
         for t in moment_expansion(p).terms:
@@ -123,7 +124,7 @@ class TestExpansionStructure:
 
     def test_order_cap(self):
         with pytest.raises(CapacityError):
-            moment_expansion(13)
+            moment_expansion(MAX_ORDER + 1)
 
 
 class TestEvaluation:

@@ -230,8 +230,9 @@ class TestVolumeExact:
         # that must vanish.
         path = PartitionPath.of(labels)
         true_zeta = sampspectra.volumes.zeta_count
-        # The parity fit counts M = 0..D//2+2, D = p - k + 1.
-        counted = list(range((path.p - path.k + 1) // 2 + 3))
+        # The parity fit uses M = 0..D//2+2, D = p - k + 1, and counts all
+        # but M = 0, whose count is 1.
+        counted = list(range(1, (path.p - path.k + 1) // 2 + 3))
         seen = []
         monkeypatch.setattr(
             sampspectra.volumes, "zeta_count",
@@ -246,6 +247,19 @@ class TestVolumeExact:
             )
             with pytest.raises(IntegrityError, match="lattice count mismatch"):
                 volume_exact(path)
+
+    def test_zero_width_box_is_never_counted(self, monkeypatch):
+        # zeta_0 is 1, so volume_exact takes it as given; the frozen class
+        # volumes come out the same.
+        true_zeta = sampspectra.volumes.zeta_count
+        asked = set()
+        monkeypatch.setattr(
+            sampspectra.volumes, "zeta_count",
+            lambda path, M: asked.add(M) or true_zeta(path, M),
+        )
+        assert {"".join(map(str, core)): volume_exact(core)
+                for core in class_representatives(10)} == CLASS_VOLUMES
+        assert 0 not in asked and 1 in asked
 
     @pytest.mark.parametrize("bad_M", [4, 5])
     def test_non_polynomial_counts_are_rejected(self, bad_M, monkeypatch):
