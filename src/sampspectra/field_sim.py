@@ -7,6 +7,14 @@ uniform points gives the N x r synthesis matrix G with entries
 N^(-1/2) exp(-2 pi j x_q . ell), and the scaled Gram matrix T = beta G G*
 (beta = N/r) whose eigenvalue distribution the analytic moments describe.
 
+Row N-1-i of the frequency grid holds -ell_i, so with J the exchange matrix
+the unitary W = e^(-i pi/4) (I + iJ) / sqrt(2) makes everything real: W* G
+is the Hartley matrix Gr[nu(ell), q] = N^(-1/2) cas(2 pi x_q . ell), with
+cas = cos + sin, and W* T W = beta Gr Gr^T is the real symmetric form R of
+T with the same spectrum. The simulation works in that frame only: G below
+is Gr, coefficient vectors are carried as a = W y, and a complex vector
+meets a real matrix as its N x 2 array of real and imaginary parts.
+
 Everything here is exactly reproducible: randomness comes from a Philox
 counter-based generator keyed by a seed sequence, and independent streams
 are derived by extending the key, e.g. (seed, trial) for the trial's sample
@@ -18,10 +26,10 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CapacityError, IntegrityError
 
@@ -34,7 +42,7 @@ _HERMITIAN_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
 _CLAMP_PER_N = 1e-10
 _TRACE_RTOL = 1e-10
-# Rows per block of the gather and of the Hermitian check.
+# Rows per block of the Hermitian check.
 _ROW_BLOCK = 64
 # Working set of one chunk of sample points in the generating-value sums.
 _GENERATOR_CHUNK_BYTES = 16 * 2**20
@@ -113,7 +121,11 @@ class SpectrumSample:
 
 @dataclass(frozen=True, eq=False)
 class FieldRealization:
-    """One draw of coefficients ``a``, noise ``n``, and samples ``p = G* a + n``."""
+    """One draw of coefficients ``a``, noise ``n``, and samples ``p = G* a + n``.
+
+    All three are complex; G here is the complex synthesis matrix, which
+    :func:`draw_realization` applies as Gr^T W*.
+    """
 
     a: np.ndarray
     n: np.ndarray
@@ -163,13 +175,15 @@ def instance_for(d: int, M: int, beta: float, seed) -> SamplingInstance:
 def _generator_point_bytes(d: int, M: int) -> int:
     """Bytes that one sample point holds while :func:`_phasor_sum` runs.
 
-    Its d per-axis phasors (plus one float phase array in flight) and its
-    column of the Khatri-Rao block of (4M+1)^(d-1) entries (plus the
-    previous stage while the block grows).
+    Its per-axis phasors, 4M+1 on each axis but the last, which keeps its
+    2M+1 non-negative ones (plus one float phase array in flight), and its
+    column of the half-width Khatri-Rao block of (2M+1)(4M+1)^(d-2) entries
+    (plus the previous stage while the block grows).
     """
-    width = 4 * M + 1
-    block_rows = width ** (d - 1) + width ** max(d - 2, 0)
-    return 16 * d * width + 8 * width + 16 * block_rows
+    width, half = 4 * M + 1, 2 * M + 1
+    block_rows = (half * width ** (d - 2) if d > 1 else 1) + (
+        half * width ** (d - 3) if d > 2 else 1)
+    return 16 * ((d - 1) * width + half) + 8 * width + 16 * block_rows
 
 
 def _generator_chunk(d: int, M: int) -> int:
@@ -180,17 +194,19 @@ def _generator_chunk(d: int, M: int) -> int:
 def _gram_bytes(d: int, M: int, r: int) -> int:
     """Peak working set of :func:`build_T`, the larger of its two phases.
 
-    Making the generating values holds one chunk of sample points (see
-    :func:`_generator_point_bytes`), the (4M+1)^d running sums and the
-    chunk's own sums. Gathering holds the generating values with their real
-    and imaginary parts, the real N^2 matrix and, for one block of rows,
-    a gather index and the gathered values.
+    Summing the generating values holds one chunk of sample points (see
+    :func:`_generator_point_bytes`), the (4M+1)^d complex values and one
+    chunk's sums over the (2M+1)(4M+1)^(d-1) values of the half-space.
+    Assembling holds the values, the real N^2 matrix and, for the Frobenius
+    check, the squared moduli with their weights (three real arrays).
     """
     values = (4 * M + 1) ** d
+    half = (2 * M + 1) * (4 * M + 1) ** (d - 1)
     n_coeff = (2 * M + 1) ** d
-    generate = min(r, _generator_chunk(d, M)) * _generator_point_bytes(d, M) + 32 * values
-    gather = 32 * values + 8 * n_coeff**2 + 16 * min(_ROW_BLOCK, n_coeff) * n_coeff
-    return max(generate, gather)
+    generate = (min(r, _generator_chunk(d, M)) * _generator_point_bytes(d, M)
+                + 16 * values + 16 * half)
+    assemble = 40 * values + 8 * n_coeff**2
+    return max(generate, assemble)
 
 
 def estimate_bytes(d: int, M: int, beta: float) -> int:
@@ -235,27 +251,37 @@ def check_trial_budget(d: int, M: int, beta: float, trials: int, threads: int = 
 
 
 def build_G(instance: SamplingInstance) -> np.ndarray:
-    """Synthesis matrix: G[nu(ell), q] = N^(-1/2) exp(-2 pi j x_q . ell)."""
+    """Real synthesis matrix Gr = W* G of the Hartley frame, float64 N x r.
+
+    Gr[nu(ell), q] = N^(-1/2) cas(2 pi x_q . ell) = sqrt(2/N) cos(2 pi x_q .
+    ell - pi/4), computed in place on the phase array. W* maps the complex
+    G's row of ell and its row of -ell, e^(-i theta) and e^(i theta), to
+    e^(i pi/4) (e^(-i theta) - i e^(i theta)) / sqrt(2) = cas(theta).
+    """
     n_coeff = (2 * instance.M + 1) ** instance.d
-    _check_budget(24 * n_coeff * instance.r, None, "build_G")
-    grid = frequency_grid(instance.M, instance.d)
-    phase = grid.astype(float) @ instance.X.T
-    return np.exp(-2j * np.pi * phase) / np.sqrt(n_coeff)
+    _check_budget(8 * n_coeff * instance.r, None, "build_G")
+    grid = frequency_grid(instance.M, instance.d) * (2 * np.pi)
+    G = grid @ instance.X.T
+    G -= np.pi / 4
+    np.cos(G, out=G)
+    G *= np.sqrt(2 / n_coeff)
+    return G
 
 
 def _phasor_sum(X: np.ndarray, k: np.ndarray) -> np.ndarray:
     """sum_q prod_m exp(-2 pi j x_{q,m} k_m) over the rows x_q of X.
 
-    Each k_m runs over the values in ``k``; the result has one row per
-    (k_{d-1}, ..., k_1) and one column per k_0. Each axis contributes its
-    own len(k) x len(X) phasors; a Khatri-Rao product combines axes d-1..1
-    (axis 1 varying fastest) and one matrix product with axis 0 sums over
-    the points.
+    Each k_m runs over the values in ``k``, a range symmetric about zero,
+    except the last axis's k_{d-1}, which runs over its non-negative half.
+    The result has one row per (k_{d-1}, ..., k_1) and one column per k_0.
+    Each axis contributes its own phasors, one row per k and one column per
+    point; a Khatri-Rao product combines axes d-1..1 (axis 1 varying
+    fastest) and one matrix product with axis 0 sums over the points.
     """
-    count = len(X)
+    count, d = X.shape
     phasors = []
-    for x in X.T:
-        z = -2j * np.pi * np.outer(k, x)
+    for m, x in enumerate(X.T):
+        z = -2j * np.pi * np.outer(k[len(k) // 2:] if m == d - 1 else k, x)
         phasors.append(np.exp(z, out=z))
     block = np.ones((1, count), dtype=complex)
     for z in phasors[:0:-1]:
@@ -263,67 +289,86 @@ def _phasor_sum(X: np.ndarray, k: np.ndarray) -> np.ndarray:
     return block @ phasors[0].T
 
 
+def _mirror(S: np.ndarray, M: int) -> None:
+    """Fill the half-space k_{d-1} < 0 of S in place from S(-k) = conj S(k)."""
+    flipped = S[(slice(None, None, -1),) * S.ndim]
+    np.conjugate(flipped[:2 * M], out=S[:2 * M])
+
+
 def _toeplitz_generator(instance: SamplingInstance) -> np.ndarray:
     """Generating values S[k] = (1/r) sum_q prod_m exp(-2 pi j x_{q,m} k_m).
 
-    k runs over [-2M..2M]^d and sits at sum_m (k_m + 2M) (4M+1)^m of the
-    returned vector. The sum runs over chunks of sample points, so that the
-    per-point phasors never take more than about _GENERATOR_CHUNK_BYTES.
+    k runs over [-2M..2M]^d; the returned d-dimensional array holds S[k] at
+    (k_{d-1} + 2M, ..., k_0 + 2M), so its flat index is sum_m (k_m + 2M)
+    (4M+1)^m. Only the half-space k_{d-1} >= 0 is summed; the sample points
+    are real, so :func:`_mirror` fills the rest. The sum runs over chunks of
+    sample points, so that the per-point phasors never take more than about
+    _GENERATOR_CHUNK_BYTES.
     """
     d, M, r = instance.d, instance.M, instance.r
     k = np.arange(-2 * M, 2 * M + 1, dtype=float)
+    S = np.empty((len(k),) * d, dtype=complex)
+    half = S[2 * M:]
+    half[...] = 0
     chunk = _generator_chunk(d, M)
-    S = _phasor_sum(instance.X[:chunk], k)
-    for start in range(chunk, r, chunk):
-        S += _phasor_sum(instance.X[start:start + chunk], k)
-    S /= r
-    return S.ravel()
+    for start in range(0, r, chunk):
+        half += _phasor_sum(instance.X[start:start + chunk], k).reshape(half.shape)
+    half /= r
+    _mirror(S, M)
+    return S
 
 
-def _gather_real(re: np.ndarray, im: np.ndarray, u: np.ndarray, offset: int) -> np.ndarray:
-    """R[i, j] = re[offset + u_i - u_j] + im[offset - u_i - u_j], by row blocks."""
-    n = len(u)
-    R = np.empty((n, n))
-    for s in range(0, n, _ROW_BLOCK):
-        rows = u[s:s + _ROW_BLOCK, None]
-        block = R[s:s + _ROW_BLOCK]
-        np.take(re, offset + rows - u, out=block)
-        block += np.take(im, offset - rows - u)
+def _assemble_real(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """R[i, j] = re(ell_i - ell_j) + im(-ell_i - ell_j) from d-dimensional
+    generating arrays laid out as :func:`_toeplitz_generator` returns them.
+
+    Reversed along every axis, the (2M+1)^d window at offset s holds at t
+    the value of index 4M - s - t on each axis: with s the row's ell + M and
+    t the column's, that is the Hankel part, and with the offsets reversed
+    too it is the Toeplitz part. R is one np.add of the two strided views.
+    """
+    d = re.ndim
+    width = (re.shape[0] + 1) // 2
+    flip = (slice(None, None, -1),) * d
+    toeplitz = sliding_window_view(re[flip], (width,) * d)[flip]
+    hankel = sliding_window_view(im[flip], (width,) * d)
+    R = np.empty((width**d, width**d))
+    np.add(toeplitz, hankel, out=R.reshape((width,) * (2 * d)))
     return R
 
 
 def build_T(instance: SamplingInstance, max_bytes=None) -> np.ndarray:
-    """Real symmetric form R = U* T U of the scaled Gram matrix T = beta G G*.
+    """Real symmetric form R = W* T W of the scaled Gram matrix T = beta G G*.
 
     T[i, j] = (1/r) sum_q exp(-2 pi j x_q . (ell_i - ell_j)) depends only on
     the frequency difference, so T is multilevel Toeplitz with (4M+1)^d
     generating values S, which cost (4M+1)^d r multiply-adds instead of the
-    N^2 r of G G* (see :func:`_toeplitz_generator`). Row N-1-i of the
-    frequency grid holds -ell_i, so with J the exchange matrix J T J is the
-    conjugate of T, and the unitary U = (I + iJ)/sqrt(2) takes T to the real
-    symmetric R = Re T + J Im T with the same spectrum:
+    N^2 r of G G* (see :func:`_toeplitz_generator`). J T J is the conjugate
+    of T, so the frame change W of the module docstring takes T to the real
+    symmetric R = Re T + J Im T = beta Gr Gr^T with the same spectrum:
 
-        R[i, j] = Re S(ell_i - ell_j) + Im S(-ell_i - ell_j).
+        R[i, j] = Re S(ell_i - ell_j) + Im S(-ell_i - ell_j),
 
-    Re S(0) = beta r / N = 1 identically, so the diagonal is written as
-    1.0 + Im S(-2 ell_i) instead of trusting accumulated round-off. The
-    Frobenius identity ||R||_F^2 = ||T||_F^2 = sum_k c_k |S_k|^2, where c_k
-    counts the index pairs with frequency difference k, ties R to T and
-    raises IntegrityError if the gather loses either part.
+    a multilevel Toeplitz plus a multilevel Hankel part (see
+    :func:`_assemble_real`). Re S(0) = beta r / N = 1 identically, so the
+    diagonal is written as 1.0 + Im S(-2 ell_i) instead of trusting
+    accumulated round-off. The Frobenius identity ||R||_F^2 = ||T||_F^2 =
+    sum_k c_k |S_k|^2, where c_k counts the index pairs with frequency
+    difference k, ties R to T and raises IntegrityError if the assembly
+    loses either part.
     """
     d, M = instance.d, instance.M
     _check_budget(_gram_bytes(d, M, instance.r), max_bytes, "build_T")
     S = _toeplitz_generator(instance)
-    weights = (4 * M + 1) ** np.arange(d)
-    u = frequency_grid(M, d) @ weights
-    offset = 2 * M * int(weights.sum())
-    re, im = S.real.copy(), S.imag.copy()
-    R = _gather_real(re, im, u, offset)
-    R[np.diag_indices_from(R)] = 1.0 + im[offset - 2 * u]
+    R = _assemble_real(S.real, S.imag)
+    # Stepping down by 2 from 4M reaches k_m = -2 ell_m at row ell on each axis.
+    R[np.diag_indices_from(R)] = 1.0 + S.imag[(slice(None, None, -2),) * d].ravel()
 
     side = (2 * M + 1 - np.abs(np.arange(-2 * M, 2 * M + 1))).astype(float)
     pairs = functools.reduce(np.multiply.outer, [side] * d).ravel()
-    expected = float(pairs @ (re * re + im * im))
+    moduli = S.real**2
+    moduli += S.imag**2
+    expected = float(pairs @ moduli.ravel())
     frobenius = float(np.vdot(R, R))
     if not abs(frobenius - expected) <= _TRACE_RTOL * expected:  # also for nan
         raise IntegrityError(
@@ -399,21 +444,38 @@ def empirical_lmmse(sample: SpectrumSample, alpha: float) -> float:
 # --- field synthesis and reconstruction --------------------------------------
 
 
+def _check_G(instance: SamplingInstance, G) -> int:
+    """N, after checking that G is the instance's real matrix from build_G."""
+    n_coeff = (2 * instance.M + 1) ** instance.d
+    shape = (n_coeff, instance.r)
+    if not (isinstance(G, np.ndarray) and G.dtype == np.float64 and G.shape == shape):
+        raise ValueError(
+            f"G must be the float64 {shape} matrix from build_G, got "
+            f"{getattr(G, 'dtype', type(G).__name__)} {np.shape(G)}"
+        )
+    return n_coeff
+
+
 def draw_realization(instance: SamplingInstance, alpha: float, seed, G) -> FieldRealization:
     """Draw unit-variance coefficients and noise of variance alpha; p = G* a + n.
 
-    ``G`` is the instance's synthesis matrix from :func:`build_G`.
+    ``G`` is the instance's real matrix Gr from :func:`build_G`, and G* a =
+    Gr^T (W* a): one real product with the N x 2 real and imaginary parts
+    of W* a = e^(i pi/4) (a - i J a) / sqrt(2), read back as r complex
+    values. Raises ValueError for any other G.
     """
     if not 0 <= alpha < np.inf:
         raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
-    n_coeff = G.shape[0]
+    n_coeff = _check_G(instance, G)
     rng = rng_for(seed)
     a = (rng.standard_normal(n_coeff) + 1j * rng.standard_normal(n_coeff)) / np.sqrt(2)
     noise = np.sqrt(alpha / 2) * (
         rng.standard_normal(instance.r) + 1j * rng.standard_normal(instance.r)
     )
-    # conj(a* G) is G* a without a conjugated copy of G.
-    return FieldRealization(a=a, n=noise, p=(a.conj() @ G).conj() + noise)
+    c = (a - 1j * a[::-1]) * (0.5 + 0.5j)
+    p = (G.T @ c.view(float).reshape(n_coeff, 2)).view(complex).ravel()
+    p += noise
+    return FieldRealization(a=a, n=noise, p=p)
 
 
 # The last (instance, alpha) that _normal_system built, with its A, A^(-1)
@@ -458,34 +520,33 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
                       alpha: float, G):
     """LMMSE estimate of the coefficients from the noisy samples.
 
-    ``G`` is the instance's synthesis matrix from :func:`build_G`. Solves
-    (G G* + alpha I) a_hat = G p and returns (a_hat, mse) with
-    mse = ||a_hat - a||^2 / N for this single draw. In the real frame of
-    :func:`build_T` the normal matrix is A = R / beta + alpha I, so the
-    system A y = U* G p is real, with the real and imaginary parts of the
-    right-hand side as two columns, and a_hat = U y. U is unitary, so the
-    residual check reads the same in either frame. A and its inverse come
-    from :func:`_normal_system`, built on the first draw at this (instance,
-    alpha); each draw applies the inverse and one step of iterative
-    refinement.
+    ``G`` is the instance's real matrix Gr from :func:`build_G`; any other G
+    raises ValueError before any work. Returns (a_hat, mse), where a_hat
+    solves (G G* + alpha I) a_hat = G p for the complex G and mse =
+    ||a_hat - a||^2 / N for this single draw. In the frame of the module
+    docstring a_hat = W y, where y solves the real system A y = Gr p with
+    A = R / beta + alpha I; the real and imaginary parts of p make Gr p two
+    real columns. W is unitary, so the residual check reads the same in
+    either frame. A and its inverse come from :func:`_normal_system`, built
+    on the first draw at this (instance, alpha); each draw applies the
+    inverse and one step of iterative refinement.
     Requires a finite alpha > 0 so the normal matrix stays positive definite.
     """
     if not 0 < alpha < np.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    n_coeff = _check_G(instance, G)
     A, A_inv, A_norm = _normal_system(instance, alpha)
-    n_coeff = G.shape[0]
-    b = G @ realization.p
-    # U* b = (b - i J b) / sqrt(2); J reverses the order of the coefficients.
-    c = (b - 1j * b[::-1]) / np.sqrt(2)
-    B = np.stack([c.real, c.imag], axis=1)
+    p = np.ascontiguousarray(realization.p, dtype=complex)
+    B = G @ p.view(float).reshape(-1, 2)
     Y = A_inv @ B
     Y += A_inv @ (B - A @ Y)
     residual = np.linalg.norm(A @ Y - B)
     allowed = _RESIDUAL_TOL * (A_norm * np.linalg.norm(Y) + np.linalg.norm(B))
     if not residual <= allowed:  # also for nan
         raise IntegrityError(f"solver residual {residual} exceeds {allowed}")
-    y = Y[:, 0] + 1j * Y[:, 1]
-    a_hat = (y + 1j * y[::-1]) / np.sqrt(2)
+    y = Y.view(complex).ravel()
+    # W y = e^(-i pi/4) (y + i J y) / sqrt(2); J reverses the coefficients.
+    a_hat = (y + 1j * y[::-1]) * (0.5 - 0.5j)
     mse = float(np.linalg.norm(a_hat - realization.a) ** 2 / n_coeff)
     return a_hat, mse
 
@@ -509,5 +570,8 @@ def collect_spectra(d: int, M: int, beta: float, trials: int, seed,
 
     if threads <= 1:
         return [one(t) for t in range(trials)]
+    # Imported on first threaded use: it adds milliseconds to every import.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(one, range(trials)))

@@ -444,3 +444,14 @@ class TestImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_cli_import_leaves_thread_pools_unloaded(self):
+        # Only collect_spectra with more than one thread needs them.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sampspectra.cli\n"
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

@@ -25,6 +25,23 @@ from sampspectra.field_sim import (
 )
 
 
+def complex_G(instance):
+    """The complex synthesis matrix N^(-1/2) exp(-2 pi j x_q . ell), as an oracle."""
+    grid = frequency_grid(instance.M, instance.d)
+    return np.exp(-2j * np.pi * (grid @ instance.X.T)) / np.sqrt(len(grid))
+
+
+def hartley_frame(n):
+    """W = e^(-i pi/4) (I + iJ) / sqrt(2), J the n x n exchange matrix."""
+    return np.exp(-0.25j * np.pi) * (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2)
+
+
+def direct_generator(instance):
+    """S[k] = mean_q exp(-2 pi j x_q . k) for every k in [-2M..2M]^d, flat."""
+    k = frequency_grid(2 * instance.M, instance.d)
+    return np.exp(-2j * np.pi * (k @ instance.X.T)).mean(axis=1)
+
+
 class TestIndexing:
     @pytest.mark.parametrize("M, d", [(1, 1), (2, 2), (1, 3), (3, 2)])
     def test_grid_rows_round_trip(self, M, d):
@@ -83,22 +100,30 @@ class TestInstances:
 
 class TestSynthesisMatrix:
     def test_single_point_column(self):
-        # One sample at x = 1/4 with M = 1: phases are +-pi/2 around the
-        # constant row, all scaled by 3^(-1/2).
+        # One sample at x = 1/4 with M = 1: the phases 2 pi x ell are -pi/2,
+        # 0 and pi/2, whose cas = cos + sin are -1, 1 and 1, scaled by 3^(-1/2).
         instance = SamplingInstance(
             d=1, M=1, r=1, beta=3.0, X=np.array([[0.25]]), seed=0
         )
         G = build_G(instance)
-        s3 = 1 / np.sqrt(3)
-        expected = np.array([1j * s3, s3, -1j * s3])
+        assert G.dtype == np.float64
+        expected = np.array([-1.0, 1.0, 1.0]) / np.sqrt(3)
         assert np.allclose(G[:, 0], expected, atol=1e-15)
+
+    @pytest.mark.parametrize("d, M", [(1, 7), (2, 3), (3, 2), (4, 1), (2, 0)])
+    def test_gram_is_the_hartley_product(self, d, M):
+        # W* G is the real Hartley matrix, so R = W* T W = beta Gr Gr^T.
+        instance = instance_for(d, M, 0.5, (29, d, M))
+        G = build_G(instance)
+        W = hartley_frame(len(G))
+        assert np.max(np.abs(W.conj().T @ complex_G(instance) - G)) <= 1e-12
+        R = build_T(instance)
+        assert np.max(np.abs(R - instance.beta * (G @ G.T))) <= 1e-12
 
     @staticmethod
     def real_form(T):
-        # U* T U with U = (I + iJ)/sqrt(2), J the exchange matrix.
-        n = len(T)
-        U = (np.eye(n) + 1j * np.eye(n)[::-1]) / np.sqrt(2)
-        return U.conj().T @ T @ U
+        W = hartley_frame(len(T))
+        return W.conj().T @ T @ W
 
     def test_gram_entries_match_direct_sum(self):
         # R = Re T + J Im T: each entry is the real part of the empirical
@@ -137,7 +162,7 @@ class TestSynthesisMatrix:
     @pytest.mark.parametrize("d, M", [(1, 7), (2, 3), (3, 2), (4, 1)])
     def test_toeplitz_assembly_matches_gram_product(self, d, M):
         instance = instance_for(d, M, 0.5, (19, d, M))
-        G = build_G(instance)
+        G = complex_G(instance)
         T = instance.beta * (G @ G.conj().T)
         np.fill_diagonal(T, 1.0)
         R = build_T(instance)
@@ -155,23 +180,48 @@ class TestSynthesisMatrix:
     def test_gather_that_drops_the_imaginary_part_fails(self, monkeypatch):
         # Re T alone is real symmetric too, but it has a smaller Frobenius
         # norm than T; the identity on the generating values tells them apart.
-        gather = field_sim._gather_real
-        monkeypatch.setattr(field_sim, "_gather_real",
-                            lambda re, im, u, offset: gather(re, 0 * im, u, offset))
+        assemble = field_sim._assemble_real
+        monkeypatch.setattr(field_sim, "_assemble_real",
+                            lambda re, im: assemble(re, 0 * im))
         with pytest.raises(IntegrityError, match="Frobenius"):
             build_T(instance_for(2, 3, 0.5, 5))
 
     def test_gather_that_leaves_a_nan_fails(self, monkeypatch):
-        gather = field_sim._gather_real
+        assemble = field_sim._assemble_real
 
-        def with_nan(re, im, u, offset):
-            R = gather(re, im, u, offset)
+        def with_nan(re, im):
+            R = assemble(re, im)
             R[0, 1] = R[1, 0] = np.nan
             return R
 
-        monkeypatch.setattr(field_sim, "_gather_real", with_nan)
+        monkeypatch.setattr(field_sim, "_assemble_real", with_nan)
         with pytest.raises(IntegrityError, match="Frobenius"):
             build_T(instance_for(2, 3, 0.5, 5))
+
+    @pytest.mark.parametrize("d, M", [(1, 5), (2, 2), (3, 1), (4, 1),
+                                      (1, 0), (2, 0), (3, 0), (4, 0)])
+    def test_half_generator_matches_direct_sum(self, d, M):
+        # Only k_{d-1} >= 0 is summed; the mirrored rest must equal the sum.
+        instance = instance_for(d, M, 0.5, (41, d, M))
+        S = field_sim._toeplitz_generator(instance)
+        assert S.shape == (4 * M + 1,) * d
+        assert np.max(np.abs(S.ravel() - direct_generator(instance))) <= 1e-12
+
+    def test_generator_mirrored_without_conjugate_fails(self, monkeypatch):
+        # Re S is even in k but Im S is odd: copying the half-space without
+        # conjugating flips the sign of Im S on the other half. The direct
+        # sum sees it, and so does the Frobenius check of build_T, since the
+        # Toeplitz and Hankel parts of R no longer cancel in ||R||_F^2.
+        def copy_only(S, M):
+            flipped = S[(slice(None, None, -1),) * S.ndim]
+            S[:2 * M] = flipped[:2 * M]
+
+        monkeypatch.setattr(field_sim, "_mirror", copy_only)
+        instance = instance_for(2, 2, 0.5, (41, 2, 2))
+        S = field_sim._toeplitz_generator(instance)
+        assert np.max(np.abs(S.ravel() - direct_generator(instance))) > 1e-3
+        with pytest.raises(IntegrityError, match="Frobenius"):
+            build_T(instance)
 
     def test_chunked_sums_match_one_chunk(self, monkeypatch):
         instance = instance_for(2, 3, 0.5, 6)
@@ -187,6 +237,24 @@ class TestSynthesisMatrix:
         monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", "10000")
         with pytest.raises(CapacityError):
             build_G(instance_for(1, 200, 0.5, 0))
+
+    @pytest.mark.parametrize("d, M", [(1, 30), (2, 6), (3, 2), (4, 1), (2, 10)])
+    def test_synthesis_budget_covers_measured_working_set(self, d, M, monkeypatch):
+        # build_G's one array is the real N x r matrix, made in place.
+        instance = instance_for(d, M, 0.5, 3)
+        counted = 8 * (2 * M + 1) ** d * instance.r
+        tracemalloc.start()
+        try:
+            build_G(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted / 2 <= peak <= counted + 2**19
+        monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", str(counted - 1))
+        with pytest.raises(CapacityError, match="build_G"):
+            build_G(instance)
+        monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", str(counted))
+        build_G(instance)
 
     # (1, 600) sums its generating values over several chunks of points.
     @pytest.mark.parametrize("d, M", [(1, 30), (2, 6), (3, 2), (4, 1), (1, 600)])
@@ -424,7 +492,8 @@ class TestReconstruction:
         G = build_G(instance)
         realization = draw_realization(instance, 0.25, (21, 0), G=G)
         assert realization.p.shape == (instance.r,)
-        assert np.allclose(realization.p - realization.n, G.conj().T @ realization.a)
+        assert np.allclose(realization.p - realization.n,
+                           complex_G(instance).conj().T @ realization.a)
 
     def test_noiseless_recovery(self):
         instance = instance_for(1, 10, 0.5, 4242)
@@ -456,6 +525,7 @@ class TestReconstruction:
         alpha = 0.3
         realization = draw_realization(instance, alpha, (12, 0), G=G)
         a_hat, mse = reconstruct_field(instance, realization, alpha, G=G)
+        G = complex_G(instance)
         A = G @ G.conj().T + alpha * np.eye(len(G))
         expected = np.linalg.solve(A, G @ realization.p)
         assert np.max(np.abs(a_hat - expected)) <= 1e-10
@@ -469,6 +539,28 @@ class TestReconstruction:
         monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", "10000")
         with pytest.raises(CapacityError, match="build_T"):
             reconstruct_field(instance, realization, 0.1, G=G)
+
+    @pytest.mark.parametrize("G", [
+        lambda instance: complex_G(instance),
+        lambda instance: build_G(instance)[:, :-1],
+        lambda instance: build_G(instance).astype(np.float32),
+        lambda instance: build_G(instance).tolist(),
+    ], ids=["complex", "short", "float32", "list"])
+    def test_draw_rejects_a_matrix_not_from_build_G(self, G):
+        # A complex G would broadcast into samples of the wrong length.
+        instance = instance_for(1, 4, 0.5, 0)
+        with pytest.raises(ValueError, match="build_G"):
+            draw_realization(instance, 0.1, (0, 0), G=G(instance))
+
+    def test_reconstruct_rejects_a_matrix_not_from_build_G(self, monkeypatch):
+        instance = instance_for(1, 4, 0.5, 0)
+        realization = draw_realization(instance, 0.1, (0, 0), G=build_G(instance))
+        built = []
+        monkeypatch.setattr(field_sim, "build_T", lambda *a, **k: built.append(a))
+        for G in (complex_G(instance), build_G(instance_for(1, 4, 0.5, 1))[:-1]):
+            with pytest.raises(ValueError, match="build_G"):
+                reconstruct_field(instance, realization, 0.1, G=G)
+        assert built == []
 
     def test_alpha_must_be_positive(self):
         instance = instance_for(1, 4, 0.5, 0)
@@ -507,7 +599,8 @@ class TestNormalSystem:
         return calls
 
     @staticmethod
-    def complex_estimate(G, p, alpha):
+    def complex_estimate(instance, p, alpha):
+        G = complex_G(instance)
         return np.linalg.solve(G @ G.conj().T + alpha * np.eye(len(G)), G @ p)
 
     def test_draws_at_one_pair_build_once(self, builds):
@@ -516,7 +609,7 @@ class TestNormalSystem:
         for k in range(5):
             realization = draw_realization(instance, 0.2, (31, k), G=G)
             a_hat, _ = reconstruct_field(instance, realization, 0.2, G=G)
-            expected = self.complex_estimate(G, realization.p, 0.2)
+            expected = self.complex_estimate(instance, realization.p, 0.2)
             assert np.max(np.abs(a_hat - expected)) <= 1e-10
         assert builds == [instance]
 
@@ -526,7 +619,7 @@ class TestNormalSystem:
         for k, alpha in enumerate([0.3, 0.05, 0.3]):
             realization = draw_realization(instance, alpha, (32, k), G=G)
             a_hat, _ = reconstruct_field(instance, realization, alpha, G=G)
-            expected = self.complex_estimate(G, realization.p, alpha)
+            expected = self.complex_estimate(instance, realization.p, alpha)
             assert np.max(np.abs(a_hat - expected)) <= 1e-10
         assert builds == [instance] * 3
 
