@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._linalg import spd_inverse
 from .errors import CapacityError, IntegrityError
 
 #: Default cap on the working set of a single simulation, overridable per
@@ -176,14 +177,14 @@ def _generator_point_bytes(d: int, M: int) -> int:
     """Bytes that one sample point holds while :func:`_phasor_sum` runs.
 
     Its per-axis phasors, 4M+1 on each axis but the last, which keeps its
-    2M+1 non-negative ones (plus one float phase array in flight), and its
-    column of the half-width Khatri-Rao block of (2M+1)(4M+1)^(d-2) entries
-    (plus the previous stage while the block grows).
+    2M+1 non-negative ones (plus the one complex phase that ``exp`` reads),
+    and its column of the half-width Khatri-Rao block of (2M+1)(4M+1)^(d-2)
+    entries (plus the previous stage while the block grows).
     """
     width, half = 4 * M + 1, 2 * M + 1
     block_rows = (half * width ** (d - 2) if d > 1 else 1) + (
         half * width ** (d - 3) if d > 2 else 1)
-    return 16 * ((d - 1) * width + half) + 8 * width + 16 * block_rows
+    return 16 * ((d - 1) * width + half + 1 + block_rows)
 
 
 def _generator_chunk(d: int, M: int) -> int:
@@ -268,21 +269,38 @@ def build_G(instance: SamplingInstance) -> np.ndarray:
     return G
 
 
-def _phasor_sum(X: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _axis_phasors(x: np.ndarray, K: int, half: bool) -> np.ndarray:
+    """exp(-2 pi j x k), one row per k in -K..K (0..K if ``half``), one
+    column per entry of x.
+
+    Only the row k = 1 calls ``exp``: row k is row k-1 times row 1, and row
+    -k the conjugate of row k. The rounding error grows like k ulp, about
+    4e-14 relative at k = 1200.
+    """
+    z = np.empty((K + 1 if half else 2 * K + 1, len(x)), dtype=complex)
+    rows = z[-K - 1:]
+    rows[0] = 1
+    if K:
+        np.exp(x * (-2j * np.pi), out=rows[1])
+    for k in range(2, K + 1):
+        np.multiply(rows[k - 1], rows[1], out=rows[k])
+    if not half:
+        np.conjugate(z[:K:-1], out=z[:K])
+    return z
+
+
+def _phasor_sum(X: np.ndarray, K: int) -> np.ndarray:
     """sum_q prod_m exp(-2 pi j x_{q,m} k_m) over the rows x_q of X.
 
-    Each k_m runs over the values in ``k``, a range symmetric about zero,
-    except the last axis's k_{d-1}, which runs over its non-negative half.
-    The result has one row per (k_{d-1}, ..., k_1) and one column per k_0.
-    Each axis contributes its own phasors, one row per k and one column per
-    point; a Khatri-Rao product combines axes d-1..1 (axis 1 varying
-    fastest) and one matrix product with axis 0 sums over the points.
+    Each k_m runs over -K..K, except the last axis's k_{d-1}, which runs
+    over 0..K. The result has one row per (k_{d-1}, ..., k_1) and one column
+    per k_0. Each axis contributes its own phasors (see
+    :func:`_axis_phasors`); a Khatri-Rao product combines axes d-1..1 (axis
+    1 varying fastest) and one matrix product with axis 0 sums over the
+    points.
     """
     count, d = X.shape
-    phasors = []
-    for m, x in enumerate(X.T):
-        z = -2j * np.pi * np.outer(k[len(k) // 2:] if m == d - 1 else k, x)
-        phasors.append(np.exp(z, out=z))
+    phasors = [_axis_phasors(x, K, m == d - 1) for m, x in enumerate(X.T)]
     block = np.ones((1, count), dtype=complex)
     for z in phasors[:0:-1]:
         block = (block[:, None, :] * z[None, :, :]).reshape(-1, count)
@@ -306,13 +324,12 @@ def _toeplitz_generator(instance: SamplingInstance) -> np.ndarray:
     _GENERATOR_CHUNK_BYTES.
     """
     d, M, r = instance.d, instance.M, instance.r
-    k = np.arange(-2 * M, 2 * M + 1, dtype=float)
-    S = np.empty((len(k),) * d, dtype=complex)
+    S = np.empty((4 * M + 1,) * d, dtype=complex)
     half = S[2 * M:]
     half[...] = 0
     chunk = _generator_chunk(d, M)
     for start in range(0, r, chunk):
-        half += _phasor_sum(instance.X[start:start + chunk], k).reshape(half.shape)
+        half += _phasor_sum(instance.X[start:start + chunk], 2 * M).reshape(half.shape)
     half /= r
     _mirror(S, M)
     return S
@@ -491,11 +508,15 @@ def _normal_system(instance: SamplingInstance, alpha: float):
     and invert A once. The slot keeps its instance alive, so that identity
     is never reused, and :func:`sample_points` makes X read-only. A miss
     drops the held pair before building the next, so one pair (16 N^2
-    bytes) stays resident at most. numpy has no triangular solve, so the
-    explicit inverse is the reusable factor. The budget check counts the
-    larger of :func:`build_T`'s peak and the 32 N^2 bytes of A, its inverse
-    and the two N^2 buffers ``inv`` allocates inside numpy's linalg
-    extension, where tracemalloc does not see them.
+    bytes) stays resident at most. A is symmetric positive definite for
+    alpha > 0, so :func:`spd_inverse` forms A^(-1) from its Cholesky
+    factor; numpy has no triangular solve, so every draw applies that
+    explicit inverse rather than the factor. The budget check counts the
+    larger of :func:`build_T`'s peak and 24 N^2 bytes: A, its factor and
+    the copy ``cholesky`` makes inside numpy's linalg extension, where
+    tracemalloc does not see it, and later A, the inverted factor and the
+    inverse (the quarter-size block products of the triangular inverse
+    come and go before the inverse).
     """
     global _normal_slot
     slot = _normal_slot
@@ -505,12 +526,12 @@ def _normal_system(instance: SamplingInstance, alpha: float):
     slot = _normal_slot = None
     d, M, r = instance.d, instance.M, instance.r
     n_coeff = (2 * M + 1) ** d
-    _check_budget(max(_gram_bytes(d, M, r), 32 * n_coeff**2), None,
+    _check_budget(max(_gram_bytes(d, M, r), 24 * n_coeff**2), None,
                   "build_T and the inverse of the normal matrix")
     A = build_T(instance)
     A /= instance.beta
     A[np.diag_indices_from(A)] += alpha
-    A_inv = np.linalg.inv(A)
+    A_inv = spd_inverse(A)
     A.flags.writeable = A_inv.flags.writeable = False
     slot = _normal_slot = (instance, alpha, A, A_inv, float(np.linalg.norm(A)))
     return slot[2:]
@@ -527,9 +548,11 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     docstring a_hat = W y, where y solves the real system A y = Gr p with
     A = R / beta + alpha I; the real and imaginary parts of p make Gr p two
     real columns. W is unitary, so the residual check reads the same in
-    either frame. A and its inverse come from :func:`_normal_system`, built
-    on the first draw at this (instance, alpha); each draw applies the
-    inverse and one step of iterative refinement.
+    either frame. A and its inverse, formed from a Cholesky factor, come
+    from :func:`_normal_system`, built on the first draw at this (instance,
+    alpha). Each draw applies the inverse, y = A^(-1) B, and takes one step
+    of iterative refinement, y += A^(-1) (B - A y), only when that first
+    residual misses the bound; the bound is checked on the y returned.
     Requires a finite alpha > 0 so the normal matrix stays positive definite.
     """
     if not 0 < alpha < np.inf:
@@ -538,12 +561,19 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     A, A_inv, A_norm = _normal_system(instance, alpha)
     p = np.ascontiguousarray(realization.p, dtype=complex)
     B = G @ p.view(float).reshape(-1, 2)
+    B_norm = np.linalg.norm(B)
+
+    def allowed(Y):
+        return _RESIDUAL_TOL * (A_norm * np.linalg.norm(Y) + B_norm)
+
     Y = A_inv @ B
-    Y += A_inv @ (B - A @ Y)
-    residual = np.linalg.norm(A @ Y - B)
-    allowed = _RESIDUAL_TOL * (A_norm * np.linalg.norm(Y) + np.linalg.norm(B))
-    if not residual <= allowed:  # also for nan
-        raise IntegrityError(f"solver residual {residual} exceeds {allowed}")
+    residual = B - A @ Y
+    if not np.linalg.norm(residual) <= allowed(Y):
+        Y += A_inv @ residual
+        residual = B - A @ Y
+    error, bound = np.linalg.norm(residual), allowed(Y)
+    if not error <= bound:  # also for nan
+        raise IntegrityError(f"solver residual {error} exceeds {bound}")
     y = Y.view(complex).ravel()
     # W y = e^(-i pi/4) (y + i J y) / sqrt(2); J reverses the coefficients.
     a_hat = (y + 1j * y[::-1]) * (0.5 - 0.5j)

@@ -1,9 +1,11 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sampspectra import field_sim
+from sampspectra import _linalg, field_sim
 from sampspectra.errors import CapacityError, IntegrityError
 from sampspectra.field_sim import (
     FieldRealization,
@@ -37,9 +39,14 @@ def hartley_frame(n):
 
 
 def direct_generator(instance):
-    """S[k] = mean_q exp(-2 pi j x_q . k) for every k in [-2M..2M]^d, flat."""
+    """S[k] = mean_q exp(-2 pi j x_q . k) for every k in [-2M..2M]^d, flat.
+
+    Summed over blocks of 256 points, so that d = 1, M = 600 holds 10 MB
+    of phasors at a time, not 92 MB.
+    """
     k = frequency_grid(2 * instance.M, instance.d)
-    return np.exp(-2j * np.pi * (k @ instance.X.T)).mean(axis=1)
+    blocks = np.split(instance.X, range(256, instance.r, 256))
+    return sum(np.exp(-2j * np.pi * (k @ X.T)).sum(axis=1) for X in blocks) / instance.r
 
 
 class TestIndexing:
@@ -199,9 +206,11 @@ class TestSynthesisMatrix:
             build_T(instance_for(2, 3, 0.5, 5))
 
     @pytest.mark.parametrize("d, M", [(1, 5), (2, 2), (3, 1), (4, 1),
-                                      (1, 0), (2, 0), (3, 0), (4, 0)])
+                                      (1, 0), (2, 0), (3, 0), (4, 0), (1, 600)])
     def test_half_generator_matches_direct_sum(self, d, M):
         # Only k_{d-1} >= 0 is summed; the mirrored rest must equal the sum.
+        # The phasors of step k are k products of the unit step, so (1, 600),
+        # whose k reaches 1200, bounds the error that recurrence adds.
         instance = instance_for(d, M, 0.5, (41, d, M))
         S = field_sim._toeplitz_generator(instance)
         assert S.shape == (4 * M + 1,) * d
@@ -640,11 +649,11 @@ class TestNormalSystem:
             instance.X[0, 0] = 0.5
 
     def test_budget_counts_the_inverse_before_work(self, builds, monkeypatch):
-        # At d=2, M=6 build_T's peak is below the 32 N^2 bytes of A, its
-        # inverse and inv's two buffers, so only the second count rejects.
+        # At d=2, M=6 build_T's peak is below the 24 N^2 bytes of A, its
+        # factor and cholesky's copy, so only the second count rejects.
         instance = instance_for(2, 6, 0.5, 35)
         n_coeff = 13**2
-        held = 32 * n_coeff**2
+        held = 24 * n_coeff**2
         assert _gram_bytes(2, 6, instance.r) < held
         G = build_G(instance)
         realization = draw_realization(instance, 0.1, (35, 0), G=G)
@@ -656,11 +665,78 @@ class TestNormalSystem:
         reconstruct_field(instance, realization, 0.1, G=G)
         assert builds == [instance]
 
+    def test_budget_covers_measured_peak(self, builds, monkeypatch):
+        # Traced, the peak is A, the inverted factor and the inverse. The
+        # copy of A that cholesky makes is not traced, so it is added to what
+        # is held when cholesky returns: A and the factor.
+        instance = instance_for(2, 10, 0.5, 38)
+        n_coeff = 21**2
+        counted = max(_gram_bytes(2, 10, instance.r), 24 * n_coeff**2)
+        cholesky, held = np.linalg.cholesky, []
+
+        def traced_cholesky(A):
+            L = cholesky(A)
+            held.append(tracemalloc.get_traced_memory()[0] + 8 * n_coeff**2)
+            return L
+
+        monkeypatch.setattr(np.linalg, "cholesky", traced_cholesky)
+        tracemalloc.start()
+        try:
+            field_sim._normal_system(instance, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counted / 2 <= peak <= counted + 2**19
+        assert counted / 2 <= held[0] <= counted + 2**19
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 441])
+    def test_lower_inverse_matches_inv(self, n):
+        # 64 rows go to np.linalg.inv whole; 65 and 441 split into blocks.
+        rng = rng_for(40, n)
+        L = np.tril(rng.standard_normal((n, n))) + np.sqrt(n) * np.eye(n)
+        expected = np.linalg.inv(L)
+        X = _linalg.lower_inverse(L.copy())
+        assert not np.triu(X, 1).any()
+        assert np.max(np.abs(X - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_indefinite_normal_matrix_is_an_integrity_error(self, builds, monkeypatch):
+        # -R / beta + alpha I has negative eigenvalues; numpy's LinAlgError
+        # must not escape.
+        instance = instance_for(2, 3, 0.5, 39)
+        G = build_G(instance)
+        realization = draw_realization(instance, 0.1, (39, 0), G=G)
+        monkeypatch.setattr(field_sim, "build_T", lambda instance: -build_T(instance))
+        with pytest.raises(IntegrityError, match="not positive definite"):
+            reconstruct_field(instance, realization, 0.1, G=G)
+
+    def test_first_solve_that_meets_the_bound_is_returned(self, builds):
+        instance = instance_for(2, 3, 0.5, 41)
+        G = build_G(instance)
+        realization = draw_realization(instance, 0.1, (41, 0), G=G)
+        a_hat, _ = reconstruct_field(instance, realization, 0.1, G=G)
+        _, A_inv, _ = field_sim._normal_system(instance, 0.1)
+        y = (A_inv @ (G @ realization.p.view(float).reshape(-1, 2))).view(complex).ravel()
+        assert np.array_equal(a_hat, (y + 1j * y[::-1]) * (0.5 - 0.5j))
+
+    def test_slightly_wrong_inverse_is_refined(self, builds, monkeypatch):
+        # An inverse 1e-6 too large leaves a first residual of about 1e-6 |B|,
+        # over the 1e-8 tolerance; one refinement step takes it to about
+        # 1e-12 |B|. Unrefined, a_hat would be 1e-6 off in relative terms.
+        inverse = field_sim.spd_inverse
+        monkeypatch.setattr(field_sim, "spd_inverse",
+                            lambda A: (1 + 1e-6) * inverse(A))
+        instance = instance_for(2, 3, 0.5, 42)
+        G = build_G(instance)
+        realization = draw_realization(instance, 0.1, (42, 0), G=G)
+        a_hat, _ = reconstruct_field(instance, realization, 0.1, G=G)
+        expected = self.complex_estimate(instance, realization.p, 0.1)
+        assert np.max(np.abs(a_hat - expected)) <= 1e-10
+
     def test_bad_inverse_fails_the_residual_check(self, builds, monkeypatch):
         # One refinement step takes a half-scaled inverse's residual from
         # B / 2 to B / 4, far above the 1e-8 tolerance.
-        inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda A: 0.5 * inv(A))
+        inverse = field_sim.spd_inverse
+        monkeypatch.setattr(field_sim, "spd_inverse", lambda A: 0.5 * inverse(A))
         instance = instance_for(2, 3, 0.5, 36)
         G = build_G(instance)
         realization = draw_realization(instance, 0.1, (36, 0), G=G)
@@ -670,12 +746,29 @@ class TestNormalSystem:
     def test_nan_inverse_fails_the_residual_check(self, builds, monkeypatch):
         # A nan residual compares false with any bound, so the check must
         # fail on it rather than pass it.
-        monkeypatch.setattr(np.linalg, "inv", lambda A: np.full_like(A, np.nan))
+        monkeypatch.setattr(field_sim, "spd_inverse",
+                            lambda A: np.full_like(A, np.nan))
         instance = instance_for(2, 3, 0.5, 37)
         G = build_G(instance)
         realization = draw_realization(instance, 0.1, (37, 0), G=G)
         with pytest.raises(IntegrityError, match="residual"):
             reconstruct_field(instance, realization, 0.1, G=G)
+
+    def test_reconstruction_leaves_scipy_unloaded(self):
+        # Like the command line (see test_cli), the field path needs only numpy.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "from sampspectra.field_sim import (build_G, draw_realization,\n"
+             "    instance_for, reconstruct_field)\n"
+             "instance = instance_for(2, 3, 0.5, 0)\n"
+             "G = build_G(instance)\n"
+             "reconstruct_field(instance, draw_realization(instance, 0.1, 0, G), 0.1, G)\n"
+             "print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestRealizationContainer:
