@@ -26,6 +26,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator, Sequence, Union
 
 #: Largest order accepted by ``volume_exact`` and ``moment_expansion``: the
@@ -48,18 +49,18 @@ class PartitionPath:
     labels: tuple
 
     def __post_init__(self):
-        labels = tuple(int(v) for v in self.labels)
-        object.__setattr__(self, "labels", labels)
+        labels = tuple(self.labels)
         running_max = 0
         for pos, v in enumerate(labels, start=1):
-            if v < 1:
-                raise ValueError(f"label {v} at position {pos} is not a positive integer")
+            if not isinstance(v, Integral) or v < 1:
+                raise ValueError(f"label {v!r} at position {pos} is not a positive integer")
             if v > running_max + 1:
                 raise ValueError(
                     f"label {v} at position {pos} breaks restricted growth "
                     f"(previous maximum is {running_max})"
                 )
             running_max = max(running_max, v)
+        object.__setattr__(self, "labels", tuple(map(int, labels)))
 
     @classmethod
     def of(cls, path: PathLike) -> "PartitionPath":

@@ -19,10 +19,10 @@ through p = 13), so
                    A_c vol_c^d sum_k C(p, k - v_c) C(p, k + e_c - v_c) beta^(p - k).
 
 The classes come from a committed table, :mod:`sampspectra._core_classes`,
-so no core is listed and no lattice point counted at run time. A test
-rebuilds its rows through e = 12 from the cores; the rows of order 13 and
-14 were written by ``python scripts/core_classes.py --write``, and at
-p = 14 the expansion also rests on its check against the Stirling numbers.
+written by ``python scripts/core_classes.py``, so no core is listed and no
+lattice point counted at run time. A test rebuilds its rows through e = 12
+from the cores, and at p = 13, 14 the expansion also rests on its check
+against the Stirling numbers.
 """
 
 from __future__ import annotations
@@ -75,11 +75,9 @@ def moment_expansion(p: int) -> MomentExpansion:
     of order e with v blocks and A_c cores adds A_c C(p, k - v)
     C(p, k + e - v) paths with k blocks: 16 classes of 394 cores stand for
     the 21,147 paths at p = 9. The classes are read from the committed
-    table (:func:`_class_rows`). Rows through e = 12 are rebuilt from the
-    cores by a test; rows of order 13 and 14 come from
-    ``scripts/core_classes.py --write``. The binomial identity is verified
-    by enumeration through p = 13, and p = 14 also rests on the check
-    below.
+    table (:func:`_class_rows`), whose rows through e = 12 a test rebuilds
+    from the cores. The binomial identity is verified by enumeration
+    through p = 13, and p = 14 also rests on the check below.
 
     Raises IntegrityError when a row read has a volume outside (0, 2/3] or
     when, for some k, the multiplicities do not sum to the Stirling number
@@ -92,7 +90,8 @@ def moment_expansion(p: int) -> MomentExpansion:
             f"moment order {p} exceeds the configured maximum {MAX_ORDER}"
         )
     agg = {(Fraction(1), k): narayana(p, k) for k in range(1, p + 1)}
-    for e, v, count, volume in _class_rows(p):
+    for labels, count, volume in _class_rows(p):
+        e, v = len(labels), max(labels)
         for k in range(v, p - e + v + 1):
             key = (volume, k)
             agg[key] = agg.get(key, 0) + (
@@ -115,18 +114,18 @@ def moment_expansion(p: int) -> MomentExpansion:
 
 
 def _class_rows(p: int):
-    """Yield (e, v, A_c, volume) for each committed core class with e <= p.
+    """Yield (labels, A_c, volume) for each committed core class with e <= p.
 
-    A row is a line ``labels A_c num/den`` of the generated table; e and v
-    are the length and the block count of its representative core. Rows are
-    sorted by e, so reading stops at the first one above p. The table is
-    imported on first use, not with the package.
+    A row is a line ``labels A_c num/den`` of the generated table, and e is
+    the length of its representative core ``labels``. Rows are sorted by e,
+    so reading stops at the first one above p. This is the one reader of
+    the table; it is imported on first use, not with the package.
     """
     from . import _core_classes
 
     for line in _core_classes.CORE_CLASSES.splitlines():
         core, count, volume = line.split(" ")
-        labels = [int(label) for label in core.split(",")]
+        labels = tuple(int(label) for label in core.split(","))
         if len(labels) > p:
             return
         volume = Fraction(volume)
@@ -134,7 +133,7 @@ def _class_rows(p: int):
             raise IntegrityError(
                 f"core class [{core}] has volume {volume} outside (0, 2/3]"
             )
-        yield len(labels), max(labels), int(count), volume
+        yield labels, int(count), volume
 
 
 def moment_eval(expansion: MomentExpansion, d: int, beta):

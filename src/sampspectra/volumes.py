@@ -171,8 +171,11 @@ def volume_of(path: PathLike) -> Fraction:
     """Volume coefficient of an arbitrary path, reducing first.
 
     Memoized on the class of the reduced path's transition multigraph
-    (:func:`~sampspectra.combinatorics.multigraph_class`): 16 classes cover
-    the 394 cores of order at most 9. Only a miss counts lattice points.
+    (:func:`~sampspectra.combinatorics.multigraph_class`); only a miss
+    counts lattice points. ``moment_expansion`` reads its volumes from the
+    core-class table; this serves path-by-path checks such as acceptance
+    criterion 5, whose 5,295 paths of order at most 8 reduce into 11
+    classes, and the perfbench tracer, which wraps it in ``moments``.
     """
     reduced = reduce_path(path)
     key = multigraph_class(reduced.labels)

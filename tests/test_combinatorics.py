@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from sampspectra.combinatorics import (
     stirling2,
     transition_multigraph,
 )
+from sampspectra.volumes import volume_of
 
 def _to_rgs(raw):
     labels = []
@@ -46,10 +48,21 @@ class TestPartitionPath:
         assert str(PartitionPath.of([1, 2, 1, 2])) == "[1,2,1,2]"
         assert str(PartitionPath.of([])) == "[]"
 
-    @pytest.mark.parametrize("bad", [[2], [0, 1], [1, 3], [1, 2, 4], [1, -1]])
+    @pytest.mark.parametrize("bad", [[2], [0, 1], [1, 3], [1, 2, 4], [1, -1],
+                                     [1, 2.7, 1], [1, 2.0, 1], [1, "2", 1]])
     def test_rejects_non_restricted_growth(self, bad):
         with pytest.raises(ValueError, match="position"):
             PartitionPath.of(bad)
+
+    def test_volume_of_rejects_a_fractional_label(self):
+        # Truncating 2.9 to 2 would give the volume 2/3 of [1, 2, 1, 2].
+        with pytest.raises(ValueError, match="label 2.9 at position 2 "):
+            volume_of([1, 2.9, 1, 2])
+
+    def test_accepts_numpy_integer_labels(self):
+        path = PartitionPath.of(np.array([1, 2, 1, 2]))
+        assert path.labels == (1, 2, 1, 2)
+        assert all(type(v) is int for v in path.labels)
 
 
 class TestEnumeration:
