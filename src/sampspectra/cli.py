@@ -28,14 +28,13 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from .combinatorics import PartitionPath, reduction_trace
 from .errors import CapacityError, IntegrityError
 from .field_sim import check_trial_budget, collect_spectra, empirical_lmmse
-from .marchenko_pastur import MPParams, mp_lmmse, mp_moment, mp_pdf
+from .marchenko_pastur import mp_lmmse, mp_pdf
 from .moments import (
     check_beta,
     check_d,
@@ -59,8 +58,6 @@ def _cell(value) -> str:
 def _jsonable(value):
     if isinstance(value, float) and not np.isfinite(value):
         return "inf" if value > 0 else "-inf"
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
@@ -99,6 +96,23 @@ def _write_out(path, text: str):
 
 
 # --- argument parsing ----------------------------------------------------------
+
+#: Flags whose comma list or grid may start with a minus sign.
+_LIST_FLAGS = frozenset({"--beta", "--snr", "--snr-grid"})
+
+
+def _join_list_values(argv: list) -> list:
+    """Join each list flag to its next token: ``--snr -5,0,5`` becomes
+    ``--snr=-5,0,5``, since argparse takes ``-5,0,5`` for an option."""
+    joined = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in _LIST_FLAGS:
+            value = next(tokens, None)
+            if value is not None:
+                token = f"{token}={value}"
+        joined.append(token)
+    return joined
 
 
 def _int_list(text: str) -> list:
@@ -182,7 +196,8 @@ def _alpha_of(snr_db: float) -> float:
 
 
 def cmd_moments(args):
-    # Reject bad evaluation points before the expansion, the costly part.
+    # Check d and beta before the expansion (a table read, about 1 ms), so
+    # that a bad d or beta exits 2 even when p is past the cap (exit 3).
     for d in args.d:
         check_d(d)
     for beta in args.beta:
@@ -307,7 +322,7 @@ def cmd_spectrum(args):
     counts, edges = np.histogram(pooled, bins=args.bins)
     mass = counts / counts.sum()
     centers = (edges[:-1] + edges[1:]) / 2
-    density = mp_pdf(centers, MPParams(samples[0].beta))
+    density = mp_pdf(centers, samples[0].beta)
     columns = ("bin_left", "bin_right", "bin_center", "mass", "mp_pdf")
     rows = [
         (float(edges[i]), float(edges[i + 1]), float(centers[i]),
@@ -327,7 +342,7 @@ def cmd_mp(args):
         config["p"] = args.p
         columns = ("beta", "p", "moment_mp")
         rows = [
-            (float(beta), p, float(mp_moment(p, beta)))
+            (float(beta), p, moment_limit(p, beta))
             for beta in args.beta for p in range(1, args.p + 1)
         ]
     else:
@@ -415,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_list_values(argv))
     try:
         args.func(args)
     except ValueError as exc:

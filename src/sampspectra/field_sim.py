@@ -108,7 +108,6 @@ class SamplingInstance:
     r: int
     beta: float
     X: np.ndarray
-    seed: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +163,7 @@ def sample_points(r: int, d: int, seed, M: int) -> SamplingInstance:
     # Read-only, so that nothing keyed on the instance (see _normal_system)
     # can go stale.
     X.flags.writeable = False
-    return SamplingInstance(d=d, M=M, r=r, beta=beta, X=X, seed=seed)
+    return SamplingInstance(d=d, M=M, r=r, beta=beta, X=X)
 
 
 def instance_for(d: int, M: int, beta: float, seed) -> SamplingInstance:

@@ -2,21 +2,19 @@
 
 For oversampling ratio beta in (0, 1] the limiting eigenvalue density is
 supported on [c2, c1] with c_{1,2} = (1 +- sqrt(beta))^2. Its moments are
-the Narayana polynomials in beta, matching the large-d limit of the exact
-moment expansion, and the mean reconstruction error of the linear MMSE
-filter has a closed form in (beta, alpha) where alpha is the noise-to-signal
-power ratio.
+the Narayana polynomials in beta, the large-d limit of the exact moment
+expansion (``moments.moment_limit``), and the mean reconstruction error of
+the linear MMSE filter has a closed form in (beta, alpha) where alpha is the
+noise-to-signal power ratio.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .moments import moment_limit
 
 #: The closed form may round fractionally outside [0, 1]; anything this far
 #: outside signals corrupted inputs instead.
@@ -28,43 +26,27 @@ _MIDPOINT_CAP = 2**15
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class MPParams:
-    """Support edges of the Marchenko-Pastur law for a given beta."""
-
-    beta: float
-    c1: float = field(init=False)
-    c2: float = field(init=False)
-
-    def __post_init__(self):
-        if not 0 < self.beta <= 1:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        root = math.sqrt(self.beta)
-        object.__setattr__(self, "c1", (1 + root) ** 2)
-        object.__setattr__(self, "c2", (1 - root) ** 2)
+def _support(beta: float) -> tuple:
+    """Support edges (c2, c1) = ((1 - sqrt(beta))^2, (1 + sqrt(beta))^2)."""
+    if not 0 < beta <= 1:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    root = math.sqrt(beta)
+    return (1 - root) ** 2, (1 + root) ** 2
 
 
-def mp_pdf(x, params: MPParams):
+def mp_pdf(x, beta: float):
     """Density of the Marchenko-Pastur law, zero outside (c2, c1).
 
     Accepts scalars or arrays. The value at the support edges is 0; for
     beta = 1 the density is integrable but unbounded near x = 0.
     """
+    c2, c1 = _support(beta)
     x = np.asarray(x, dtype=float)
-    inside = (x > params.c2) & (x < params.c1)
+    inside = (x > c2) & (x < c1)
     out = np.zeros_like(x)
     xi = x[inside]
-    out[inside] = np.sqrt((params.c1 - xi) * (xi - params.c2)) / (
-        2 * np.pi * xi * params.beta
-    )
+    out[inside] = np.sqrt((c1 - xi) * (xi - c2)) / (2 * np.pi * xi * beta)
     return out if out.ndim else float(out)
-
-
-def mp_moment(p: int, beta: float) -> float:
-    """p-th moment of the law: the Narayana polynomial in beta (1 for p=0)."""
-    if p == 0:
-        return 1.0
-    return moment_limit(p, beta)
 
 
 def mp_lmmse(beta: float, alpha: float) -> float:
@@ -111,8 +93,7 @@ def mp_expectation(g, beta: float, tolerance: float = 1e-10) -> float:
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    params = MPParams(beta)
-    c1, c2 = params.c1, params.c2
+    c2, c1 = _support(beta)
     span = c1 - c2
 
     def midpoint(n):

@@ -12,7 +12,8 @@ import sampspectra.volumes
 from sampspectra.cli import main
 from sampspectra.combinatorics import MAX_ORDER
 from sampspectra.field_sim import estimate_bytes
-from sampspectra.marchenko_pastur import mp_lmmse, mp_moment
+from sampspectra.marchenko_pastur import mp_lmmse
+from sampspectra.moments import moment_limit
 
 CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 
@@ -281,7 +282,7 @@ class TestMp:
         _, header, rows = parse_csv(capsys.readouterr().out)
         assert header == ["beta", "p", "moment_mp"]
         assert [float(r[2]) for r in rows] == [
-            pytest.approx(mp_moment(p, 0.5)) for p in (1, 2, 3, 4)
+            pytest.approx(moment_limit(p, 0.5)) for p in (1, 2, 3, 4)
         ]
 
     def test_lmmse_mode(self, capsys):
@@ -367,6 +368,38 @@ class TestArgparse:
         assert "-4000" in result.stderr and "float range" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", [
+        ["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--trials", "2"],
+        ["mp", "--beta", "0.5"],
+    ])
+    def test_negative_snr_list_reads_as_a_value(self, command):
+        # argparse takes "-5,0,5" for an option unless it is joined on.
+        joined = run_cli(*command, "--snr=-5,0,5")
+        assert joined.returncode == 0, joined.stderr
+        spaced = run_cli(*command, "--snr", "-5,0,5")
+        assert spaced.returncode == 0, spaced.stderr
+        assert spaced.stdout == joined.stdout
+
+    @pytest.mark.parametrize("command", [
+        ["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--trials", "2"],
+        ["mp", "--beta", "0.5"],
+    ])
+    def test_negative_snr_grid_start_runs(self, command, capsys):
+        assert main(command + ["--snr-grid", "-10:10:5"]) == 0
+        _, header, rows = parse_csv(capsys.readouterr().out)
+        column = header.index("snr_db")
+        assert [float(row[column]) for row in rows] == [-10.0, -5.0, 0.0, 5.0, 10.0]
+
+    @pytest.mark.parametrize("command", [
+        ["mse", "--d", "1", "--M", "2", "--trials", "1", "--snr", "10"],
+        ["mp", "--snr", "10"],
+    ])
+    def test_negative_beta_list_is_a_range_error(self, command, capsys):
+        assert main(command + ["--beta", "-0.5,0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "beta must lie in" in captured.err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_exit_two(self, threads, capsys):
         with pytest.raises(SystemExit) as info:
@@ -444,6 +477,20 @@ class TestImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_mp_import_loads_no_other_package_module(self):
+        # The law is a function of beta alone: moments stays unloaded.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sampspectra.marchenko_pastur\n"
+             "print('\\n'.join(sorted(m for m in sys.modules"
+             " if m.startswith('sampspectra.'))))"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "sampspectra.errors", "sampspectra.marchenko_pastur",
+        ]
 
     def test_cli_import_leaves_thread_pools_unloaded(self):
         # Only collect_spectra with more than one thread needs them.

@@ -109,9 +109,7 @@ class TestSynthesisMatrix:
     def test_single_point_column(self):
         # One sample at x = 1/4 with M = 1: the phases 2 pi x ell are -pi/2,
         # 0 and pi/2, whose cas = cos + sin are -1, 1 and 1, scaled by 3^(-1/2).
-        instance = SamplingInstance(
-            d=1, M=1, r=1, beta=3.0, X=np.array([[0.25]]), seed=0
-        )
+        instance = SamplingInstance(d=1, M=1, r=1, beta=3.0, X=np.array([[0.25]]))
         G = build_G(instance)
         assert G.dtype == np.float64
         expected = np.array([-1.0, 1.0, 1.0]) / np.sqrt(3)
@@ -406,7 +404,7 @@ class TestSpectrumChecks:
         # A Hermitian unit-diagonal matrix that no Gram matrix can be: its
         # lowest eigenvalue is 1 - sqrt(2). Trace and Frobenius identities
         # hold, so only the clamp floor rejects it.
-        instance = SamplingInstance(d=1, M=1, r=4, beta=0.75, X=np.zeros((4, 1)), seed=0)
+        instance = SamplingInstance(d=1, M=1, r=4, beta=0.75, X=np.zeros((4, 1)))
         T = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=complex)
         with pytest.raises(IntegrityError, match="clamping floor"):
             hermitian_eigenvalues(T, instance)

@@ -5,13 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from sampspectra.errors import ConvergenceError
-from sampspectra.marchenko_pastur import (
-    MPParams,
-    mp_expectation,
-    mp_lmmse,
-    mp_moment,
-    mp_pdf,
-)
+from sampspectra.marchenko_pastur import _support, mp_expectation, mp_lmmse, mp_pdf
 from sampspectra.moments import moment_limit
 
 BETAS = (0.1, 0.4, 0.8, 1.0)
@@ -19,43 +13,40 @@ BETAS = (0.1, 0.4, 0.8, 1.0)
 
 class TestParams:
     def test_support_edges(self):
-        params = MPParams(1.0)
-        assert (params.c2, params.c1) == (0.0, 4.0)
-        params = MPParams(0.25)
-        assert params.c2 == pytest.approx(0.25)
-        assert params.c1 == pytest.approx(2.25)
+        assert _support(1.0) == (0.0, 4.0)
+        c2, c1 = _support(0.25)
+        assert c2 == pytest.approx(0.25)
+        assert c1 == pytest.approx(2.25)
 
     @pytest.mark.parametrize("bad", [0.0, -0.3, 1.2])
     def test_rejects_bad_ratio(self, bad):
-        with pytest.raises(ValueError):
-            MPParams(bad)
-
-    def test_edges_are_not_arguments(self):
-        with pytest.raises(TypeError):
-            MPParams(0.5, c1=9.0)
-        with pytest.raises(TypeError):
-            MPParams(0.5, 9.0, -3.0)
+        with pytest.raises(ValueError, match="beta must lie in"):
+            mp_pdf(1.0, bad)
+        with pytest.raises(ValueError, match="beta must lie in"):
+            mp_expectation(lambda x: x, bad)
+        with pytest.raises(ValueError, match="beta must lie in"):
+            mp_lmmse(bad, 0.1)
 
 
 class TestDensity:
     def test_zero_outside_open_support(self):
-        params = MPParams(0.5)
-        for x in (-1.0, 0.0, params.c2, params.c1, params.c1 + 1):
-            assert mp_pdf(x, params) == 0.0
-        assert mp_pdf((params.c1 + params.c2) / 2, params) > 0
+        c2, c1 = _support(0.5)
+        for x in (-1.0, 0.0, c2, c1, c1 + 1):
+            assert mp_pdf(x, 0.5) == 0.0
+        assert mp_pdf((c1 + c2) / 2, 0.5) > 0
 
     def test_square_case_closed_form(self):
         # At beta = 1 and x = 1 the density is sqrt(3)/(2 pi).
-        assert mp_pdf(1.0, MPParams(1.0)) == pytest.approx(
+        assert mp_pdf(1.0, 1.0) == pytest.approx(
             math.sqrt(3) / (2 * math.pi), abs=1e-15
         )
 
     def test_array_evaluation(self):
-        params = MPParams(0.4)
+        c2, c1 = _support(0.4)
         x = np.linspace(-1, 4, 101)
-        y = mp_pdf(x, params)
+        y = mp_pdf(x, 0.4)
         assert y.shape == x.shape
-        inside = (x > params.c2) & (x < params.c1)
+        inside = (x > c2) & (x < c1)
         assert (y[inside] > 0).all()
         assert not y[~inside].any()
 
@@ -65,21 +56,20 @@ class TestDensity:
         # substitution used by mp_expectation.
         # The raw integrand keeps its square-root endpoint behavior, so the
         # reported error estimate is looser than the substitution route.
-        params = MPParams(beta)
-        mass, err = quad(lambda x: mp_pdf(x, params), params.c2, params.c1,
-                         limit=300)
+        c2, c1 = _support(beta)
+        mass, err = quad(lambda x: mp_pdf(x, beta), c2, c1, limit=300)
         assert err < 1e-5
         assert mass == pytest.approx(1.0, abs=1e-6)
 
 
 class TestMoments:
-    def test_zeroth_moment(self):
-        assert mp_moment(0, 0.3) == 1.0
-
     @pytest.mark.parametrize("beta", BETAS)
     def test_matches_limit_polynomial(self, beta):
+        # The Narayana numbers C(p, k) C(p, k - 1) / p, written out here.
         for p in range(1, 7):
-            assert mp_moment(p, beta) == moment_limit(p, beta)
+            narayana = sum(math.comb(p, k) * math.comb(p, k - 1) // p * beta ** (k - 1)
+                           for k in range(1, p + 1))
+            assert moment_limit(p, beta) == pytest.approx(narayana, rel=1e-15)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_quadrature_agrees(self, beta):
