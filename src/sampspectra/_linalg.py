@@ -1,4 +1,4 @@
-"""The inverse of a symmetric positive definite matrix from its Cholesky factor.
+"""The inverse of a lower triangular matrix, such as a Cholesky factor.
 
 numpy has ``cholesky`` but no triangular solve or inverse, and scipy.linalg
 takes longer to import than the reconstructions that need it, so the
@@ -6,8 +6,6 @@ triangular inverse is built here from numpy's matrix products.
 """
 
 import numpy as np
-
-from .errors import IntegrityError
 
 # Largest triangular block that lower_inverse hands to np.linalg.inv.
 _INVERSE_BLOCK = 64
@@ -29,19 +27,3 @@ def lower_inverse(L: np.ndarray) -> np.ndarray:
         X11, X22 = lower_inverse(L[:h, :h]), lower_inverse(L[h:, h:])
         L[h:, :h] = -(X22 @ (L[h:, :h] @ X11))
     return L
-
-
-def spd_inverse(A: np.ndarray) -> np.ndarray:
-    """A^(-1) = X^T X for the symmetric positive definite A = L L^T, X = L^(-1).
-
-    About 2 n^3 flops: n^3 / 3 for the factor, 2 n^3 / 3 for its inverse
-    and n^3 for X^T X, which numpy evaluates as a symmetric rank-k update;
-    ``np.linalg.inv`` takes about 8 n^3 / 3. Raises IntegrityError if the
-    factorization finds A not positive definite (a nan in A included).
-    """
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError as exc:
-        raise IntegrityError(f"matrix is not positive definite ({exc})") from None
-    X = lower_inverse(L)
-    return X.T @ X

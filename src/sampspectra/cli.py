@@ -97,21 +97,18 @@ def _write_out(path, text: str):
 
 # --- argument parsing ----------------------------------------------------------
 
-#: Flags whose comma list or grid may start with a minus sign.
-_LIST_FLAGS = frozenset({"--beta", "--snr", "--snr-grid"})
-
 
 def _join_list_values(argv: list) -> list:
-    """Join each list flag to its next token: ``--snr -5,0,5`` becomes
-    ``--snr=-5,0,5``, since argparse takes ``-5,0,5`` for an option."""
+    """``--snr -5,0,5`` becomes ``--snr=-5,0,5``: argparse takes a value
+    with one leading minus for an option. Only --help and -h take none."""
     joined = []
-    tokens = iter(argv)
-    for token in tokens:
-        if token in _LIST_FLAGS:
-            value = next(tokens, None)
-            if value is not None:
-                token = f"{token}={value}"
-        joined.append(token)
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        if (flag[:2] == "--" and "=" not in flag and not "--help".startswith(flag)
+                and token[:1] == "-" and token[:2] != "--" and token != "-h"):
+            joined[-1] = f"{flag}={token}"
+        else:
+            joined.append(token)
     return joined
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._linalg import spd_inverse
+from ._linalg import lower_inverse
 from .errors import CapacityError, IntegrityError
 
 #: Default cap on the working set of a single simulation, overridable per
@@ -406,12 +406,12 @@ def hermitian_eigenvalues(T: np.ndarray, instance: SamplingInstance) -> Spectrum
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError(f"T must be square, got {T.shape}")
-    # Row blocks keep the temporaries at a few rows of T, not two copies.
-    # np.maximum keeps a nan, and every check below fails on one.
-    deviation = 0.0
+    # Row blocks from the diagonal on meet each pair once, in temporaries of
+    # a few rows of T. np.maximum keeps a nan, and every check below fails on one.
+    deviation, conj = 0.0, np.conj if np.iscomplexobj(T) else np.asarray
     for s in range(0, n, _ROW_BLOCK):
         e = s + _ROW_BLOCK
-        deviation = np.maximum(deviation, np.max(np.abs(T[s:e] - T[:, s:e].conj().T)))
+        deviation = np.maximum(deviation, np.max(np.abs(T[s:e, s:] - conj(T[s:, s:e].T))))
     if not deviation <= _HERMITIAN_TOL:
         raise IntegrityError(f"input is non-Hermitian (max deviation {deviation})")
     eigenvalues = np.linalg.eigvalsh(T)
@@ -494,28 +494,25 @@ def draw_realization(instance: SamplingInstance, alpha: float, seed, G) -> Field
     return FieldRealization(a=a, n=noise, p=p)
 
 
-# The last (instance, alpha) that _normal_system built, with its A, A^(-1)
+# The last (instance, alpha) that _normal_system built, with its A, L^(-1)
 # and ||A||_F; None before the first reconstruction.
 _normal_slot = None
 
 
 def _normal_system(instance: SamplingInstance, alpha: float):
-    """(A, A^(-1), ||A||_F) for the real normal matrix A = R / beta + alpha I.
+    """(A, L^(-1), ||A||_F) for the real normal matrix A = R / beta + alpha I.
 
     One module-level slot holds the last (instance, alpha), keyed on the
     instance's identity, so draws against a fixed (instance, alpha) build
-    and invert A once. The slot keeps its instance alive, so that identity
+    and factor A once. The slot keeps its instance alive, so that identity
     is never reused, and :func:`sample_points` makes X read-only. A miss
     drops the held pair before building the next, so one pair (16 N^2
-    bytes) stays resident at most. A is symmetric positive definite for
-    alpha > 0, so :func:`spd_inverse` forms A^(-1) from its Cholesky
-    factor; numpy has no triangular solve, so every draw applies that
-    explicit inverse rather than the factor. The budget check counts the
-    larger of :func:`build_T`'s peak and 24 N^2 bytes: A, its factor and
-    the copy ``cholesky`` makes inside numpy's linalg extension, where
-    tracemalloc does not see it, and later A, the inverted factor and the
-    inverse (the quarter-size block products of the triangular inverse
-    come and go before the inverse).
+    bytes) stays resident at most. A = L L^T is positive definite for
+    alpha > 0, and numpy has no triangular solve, so :func:`lower_inverse`
+    inverts L in place; an indefinite A raises IntegrityError. The budget
+    check counts the larger of :func:`build_T`'s peak and 24 N^2 bytes: A,
+    L and the copy ``cholesky`` makes inside numpy's linalg extension,
+    where tracemalloc does not see it.
     """
     global _normal_slot
     slot = _normal_slot
@@ -526,13 +523,16 @@ def _normal_system(instance: SamplingInstance, alpha: float):
     d, M, r = instance.d, instance.M, instance.r
     n_coeff = (2 * M + 1) ** d
     _check_budget(max(_gram_bytes(d, M, r), 24 * n_coeff**2), None,
-                  "build_T and the inverse of the normal matrix")
+                  "build_T and the factor of the normal matrix")
     A = build_T(instance)
     A /= instance.beta
     A[np.diag_indices_from(A)] += alpha
-    A_inv = spd_inverse(A)
-    A.flags.writeable = A_inv.flags.writeable = False
-    slot = _normal_slot = (instance, alpha, A, A_inv, float(np.linalg.norm(A)))
+    try:
+        L_inv = lower_inverse(np.linalg.cholesky(A))
+    except np.linalg.LinAlgError as exc:
+        raise IntegrityError(f"matrix is not positive definite ({exc})") from None
+    A.flags.writeable = L_inv.flags.writeable = False
+    slot = _normal_slot = (instance, alpha, A, L_inv, float(np.linalg.norm(A)))
     return slot[2:]
 
 
@@ -547,17 +547,17 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     docstring a_hat = W y, where y solves the real system A y = Gr p with
     A = R / beta + alpha I; the real and imaginary parts of p make Gr p two
     real columns. W is unitary, so the residual check reads the same in
-    either frame. A and its inverse, formed from a Cholesky factor, come
-    from :func:`_normal_system`, built on the first draw at this (instance,
-    alpha). Each draw applies the inverse, y = A^(-1) B, and takes one step
-    of iterative refinement, y += A^(-1) (B - A y), only when that first
+    either frame. A and L^(-1), for its Cholesky factor L, come from
+    :func:`_normal_system`, built on the first draw at this (instance,
+    alpha). Each draw solves y = L^(-T) L^(-1) B and takes one step of
+    iterative refinement, y += L^(-T) L^(-1) (B - A y), only when that first
     residual misses the bound; the bound is checked on the y returned.
     Requires a finite alpha > 0 so the normal matrix stays positive definite.
     """
     if not 0 < alpha < np.inf:
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     n_coeff = _check_G(instance, G)
-    A, A_inv, A_norm = _normal_system(instance, alpha)
+    A, L_inv, A_norm = _normal_system(instance, alpha)
     p = np.ascontiguousarray(realization.p, dtype=complex)
     B = G @ p.view(float).reshape(-1, 2)
     B_norm = np.linalg.norm(B)
@@ -565,10 +565,10 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     def allowed(Y):
         return _RESIDUAL_TOL * (A_norm * np.linalg.norm(Y) + B_norm)
 
-    Y = A_inv @ B
+    Y = L_inv.T @ (L_inv @ B)
     residual = B - A @ Y
     if not np.linalg.norm(residual) <= allowed(Y):
-        Y += A_inv @ residual
+        Y += L_inv.T @ (L_inv @ residual)
         residual = B - A @ Y
     error, bound = np.linalg.norm(residual), allowed(Y)
     if not error <= bound:  # also for nan

@@ -400,6 +400,34 @@ class TestArgparse:
         assert captured.out == ""
         assert "beta must lie in" in captured.err
 
+    @pytest.mark.parametrize("command", [
+        ["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--trials", "2"],
+        ["mp", "--beta", "0.5"],
+    ])
+    def test_abbreviated_flag_takes_a_negative_value(self, command):
+        joined = run_cli(*command, "--snr-grid=-10:10:5")
+        assert joined.returncode == 0, joined.stderr
+        abbreviated = run_cli(*command, "--snr-g", "-10:10:5")
+        assert abbreviated.returncode == 0, abbreviated.stderr
+        assert abbreviated.stdout == joined.stdout
+
+    @pytest.mark.parametrize("command", [
+        ["moments", "--p", "3", "--beta", "0.5"],
+        ["mse", "--M", "2", "--beta", "0.5", "--trials", "1", "--snr", "10"],
+    ])
+    def test_negative_dimension_list_is_a_dimension_error(self, command, capsys):
+        assert main(command + ["--d", "-1,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dimension must be" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--help", "--he"])
+    def test_help_is_not_joined_to_a_negative_token(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["mp", flag, "-1,2"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sampspectra mp")
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_exit_two(self, threads, capsys):
         with pytest.raises(SystemExit) as info:

@@ -315,6 +315,15 @@ class TestSpectra:
             with pytest.raises(IntegrityError, match="non-Hermitian"):
                 hermitian_eigenvalues(T, instance)
 
+    def test_rejects_complex_symmetric(self):
+        # Equal across the diagonal but not conjugate: complex input is
+        # compared with the conjugate transpose.
+        instance = instance_for(1, 40, 0.5, 0)
+        T = build_T(instance).astype(complex)
+        T[70, 2] = T[2, 70] = T[2, 70] + 1e-3j
+        with pytest.raises(IntegrityError, match="non-Hermitian"):
+            hermitian_eigenvalues(T, instance)
+
     @pytest.mark.parametrize("i, j", [(0, 1), (80, 79), (2, 70), (40, 40)])
     def test_rejects_a_symmetric_nan(self, i, j):
         # T stays symmetric, but every comparison with nan is false, so the
@@ -665,9 +674,9 @@ class TestNormalSystem:
         assert builds == [instance]
 
     def test_budget_covers_measured_peak(self, builds, monkeypatch):
-        # Traced, the peak is A, the inverted factor and the inverse. The
-        # copy of A that cholesky makes is not traced, so it is added to what
-        # is held when cholesky returns: A and the factor.
+        # The peak is A, the factor and cholesky's copy of A. That copy is
+        # not traced, so it is added to what is held when cholesky returns;
+        # the traced peak, A and the factor as it is inverted, stays below.
         instance = instance_for(2, 10, 0.5, 38)
         n_coeff = 21**2
         counted = max(_gram_bytes(2, 10, instance.r), 24 * n_coeff**2)
@@ -708,22 +717,37 @@ class TestNormalSystem:
         with pytest.raises(IntegrityError, match="not positive definite"):
             reconstruct_field(instance, realization, 0.1, G=G)
 
+    def test_held_system_is_A_and_its_inverted_factor(self, builds):
+        instance = instance_for(2, 3, 0.5, 43)
+        A, L_inv, A_norm = field_sim._normal_system(instance, 0.1)
+        expected = build_T(instance) / instance.beta + 0.1 * np.eye(49)
+        assert np.max(np.abs(A - expected)) <= 1e-14
+        assert A_norm == np.linalg.norm(A)
+        assert not np.triu(L_inv, 1).any()
+        assert np.max(np.abs(L_inv.T @ L_inv @ A - np.eye(49))) <= 1e-12
+
     def test_first_solve_that_meets_the_bound_is_returned(self, builds):
         instance = instance_for(2, 3, 0.5, 41)
         G = build_G(instance)
         realization = draw_realization(instance, 0.1, (41, 0), G=G)
         a_hat, _ = reconstruct_field(instance, realization, 0.1, G=G)
-        _, A_inv, _ = field_sim._normal_system(instance, 0.1)
-        y = (A_inv @ (G @ realization.p.view(float).reshape(-1, 2))).view(complex).ravel()
+        _, L_inv, _ = field_sim._normal_system(instance, 0.1)
+        B = G @ realization.p.view(float).reshape(-1, 2)
+        y = (L_inv.T @ (L_inv @ B)).view(complex).ravel()
         assert np.array_equal(a_hat, (y + 1j * y[::-1]) * (0.5 - 0.5j))
+
+    @staticmethod
+    def scale_factor_inverse(monkeypatch, scale):
+        # Scaling L^(-1) by sqrt(s) scales the applied inverse L^(-T) L^(-1) by s.
+        inverse = field_sim.lower_inverse
+        monkeypatch.setattr(field_sim, "lower_inverse",
+                            lambda L: np.sqrt(scale) * inverse(L))
 
     def test_slightly_wrong_inverse_is_refined(self, builds, monkeypatch):
         # An inverse 1e-6 too large leaves a first residual of about 1e-6 |B|,
         # over the 1e-8 tolerance; one refinement step takes it to about
         # 1e-12 |B|. Unrefined, a_hat would be 1e-6 off in relative terms.
-        inverse = field_sim.spd_inverse
-        monkeypatch.setattr(field_sim, "spd_inverse",
-                            lambda A: (1 + 1e-6) * inverse(A))
+        self.scale_factor_inverse(monkeypatch, 1 + 1e-6)
         instance = instance_for(2, 3, 0.5, 42)
         G = build_G(instance)
         realization = draw_realization(instance, 0.1, (42, 0), G=G)
@@ -734,8 +758,7 @@ class TestNormalSystem:
     def test_bad_inverse_fails_the_residual_check(self, builds, monkeypatch):
         # One refinement step takes a half-scaled inverse's residual from
         # B / 2 to B / 4, far above the 1e-8 tolerance.
-        inverse = field_sim.spd_inverse
-        monkeypatch.setattr(field_sim, "spd_inverse", lambda A: 0.5 * inverse(A))
+        self.scale_factor_inverse(monkeypatch, 0.5)
         instance = instance_for(2, 3, 0.5, 36)
         G = build_G(instance)
         realization = draw_realization(instance, 0.1, (36, 0), G=G)
@@ -745,8 +768,8 @@ class TestNormalSystem:
     def test_nan_inverse_fails_the_residual_check(self, builds, monkeypatch):
         # A nan residual compares false with any bound, so the check must
         # fail on it rather than pass it.
-        monkeypatch.setattr(field_sim, "spd_inverse",
-                            lambda A: np.full_like(A, np.nan))
+        monkeypatch.setattr(field_sim, "lower_inverse",
+                            lambda L: np.full_like(L, np.nan))
         instance = instance_for(2, 3, 0.5, 37)
         G = build_G(instance)
         realization = draw_realization(instance, 0.1, (37, 0), G=G)
