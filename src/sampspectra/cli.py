@@ -27,13 +27,14 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .combinatorics import PartitionPath, reduction_trace
 from .errors import CapacityError, IntegrityError
-from .field_sim import check_trial_budget, collect_spectra, empirical_lmmse
+from .field_sim import check_budget, check_trial_budget, collect_spectra, empirical_lmmse
 from .marchenko_pastur import mp_lmmse, mp_pdf
 from .moments import (
     check_beta,
@@ -45,6 +46,13 @@ from .moments import (
 )
 from .volumes import volume_exact, volume_quadrature
 
+#: Most values an --snr-grid may hold.
+MAX_GRID_VALUES = 10_000
+GRID_HELP = f"start:stop:step in dB, inclusive; at most {MAX_GRID_VALUES} values"
+# Bytes one histogram bin holds at most: its entries in the histogram's
+# float64 arrays, its row of Python floats and its output text. tracemalloc
+# measured about 550 for CSV and 990 for JSON.
+BIN_BYTES = 1024
 
 # --- serialization helpers ----------------------------------------------------
 
@@ -150,17 +158,14 @@ def _snr_grid(text: str) -> list:
             f"start, stop and step must be finite, got {text!r}")
     if step <= 0:
         raise argparse.ArgumentTypeError(f"step must be positive, got {step}")
-    grid = []
-    k = 0
-    while True:
-        value = start + k * step
-        if value > stop + 1e-9:
-            break
-        grid.append(value)
-        k += 1
-    if not grid:
+    # The grid is start + k step for every k = 0, 1, ... up to span.
+    span = (stop + 1e-9 - start) / step
+    if span < 0:
         raise argparse.ArgumentTypeError(f"start:stop:step {text!r} holds no value")
-    return grid
+    if span >= MAX_GRID_VALUES:
+        raise argparse.ArgumentTypeError(
+            f"start:stop:step {text!r} holds more than {MAX_GRID_VALUES} values")
+    return [start + k * step for k in range(math.floor(span) + 1)]
 
 
 def _resolve_snrs(args) -> list:
@@ -308,6 +313,13 @@ def cmd_mse(args):
 def cmd_spectrum(args):
     if args.bins < 1:
         raise ValueError(f"bins must be positive, got {args.bins}")
+    # Once the trials end, their eigenvalues are held twice (per trial and
+    # pooled) beside the histogram; both are checked before the first trial.
+    check_trial_budget(args.d, args.M, args.beta, args.trials, args.threads,
+                       args.max_mem)
+    eigenvalues = 16 * (2 * args.M + 1) ** args.d * args.trials
+    check_budget(eigenvalues + BIN_BYTES * args.bins, args.max_mem,
+                 f"a histogram of {args.trials} trial(s) in {args.bins} bins")
     config = {
         "command": "spectrum", "d": args.d, "M": args.M, "beta": args.beta,
         "trials": args.trials, "seed": args.seed, "bins": args.bins,
@@ -399,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--beta", type=_float_list, required=True, help="comma list")
     sub.add_argument("--snr", type=_float_list, default=None,
                      help="comma list of SNRs in dB; 'inf' for noiseless")
-    sub.add_argument("--snr-grid", type=_snr_grid, default=None,
-                     help="start:stop:step in dB, inclusive")
+    sub.add_argument("--snr-grid", type=_snr_grid, default=None, help=GRID_HELP)
     _add_sim_flags(sub)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_mse)
@@ -419,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=_positive_int, default=None,
                      help="emit limit moments for orders 1..p")
     sub.add_argument("--snr", type=_float_list, default=None)
-    sub.add_argument("--snr-grid", type=_snr_grid, default=None)
+    sub.add_argument("--snr-grid", type=_snr_grid, default=None, help=GRID_HELP)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_mp)
 

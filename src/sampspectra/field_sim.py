@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._linalg import lower_inverse
+from ._linalg import inverse_cholesky, inverse_cholesky_bytes
 from .errors import CapacityError, IntegrityError
 
 #: Default cap on the working set of a single simulation, overridable per
@@ -221,7 +221,8 @@ def estimate_bytes(d: int, M: int, beta: float) -> int:
     return max(_gram_bytes(d, M, r), 16 * n_coeff**2)
 
 
-def _check_budget(required, max_bytes, what):
+def check_budget(required, max_bytes, what):
+    """Raise CapacityError if ``what`` needs more than the budget's bytes."""
     budget = _resolve_budget(max_bytes)
     if required > budget:
         raise CapacityError(
@@ -243,8 +244,8 @@ def check_trial_budget(d: int, M: int, beta: float, trials: int, threads: int = 
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
     concurrent = min(threads, trials)
-    _check_budget(concurrent * estimate_bytes(d, M, beta), max_bytes,
-                  f"{concurrent} concurrent trial(s) at d={d}, M={M}, beta={beta}")
+    check_budget(concurrent * estimate_bytes(d, M, beta), max_bytes,
+                 f"{concurrent} concurrent trial(s) at d={d}, M={M}, beta={beta}")
 
 
 # --- matrices and spectra -----------------------------------------------------
@@ -259,7 +260,7 @@ def build_G(instance: SamplingInstance) -> np.ndarray:
     e^(i pi/4) (e^(-i theta) - i e^(i theta)) / sqrt(2) = cas(theta).
     """
     n_coeff = (2 * instance.M + 1) ** instance.d
-    _check_budget(8 * n_coeff * instance.r, None, "build_G")
+    check_budget(8 * n_coeff * instance.r, None, "build_G")
     grid = frequency_grid(instance.M, instance.d) * (2 * np.pi)
     G = grid @ instance.X.T
     G -= np.pi / 4
@@ -374,7 +375,7 @@ def build_T(instance: SamplingInstance, max_bytes=None) -> np.ndarray:
     loses either part.
     """
     d, M = instance.d, instance.M
-    _check_budget(_gram_bytes(d, M, instance.r), max_bytes, "build_T")
+    check_budget(_gram_bytes(d, M, instance.r), max_bytes, "build_T")
     S = _toeplitz_generator(instance)
     R = _assemble_real(S.real, S.imag)
     # Stepping down by 2 from 4M reaches k_m = -2 ell_m at row ell on each axis.
@@ -508,11 +509,13 @@ def _normal_system(instance: SamplingInstance, alpha: float):
     is never reused, and :func:`sample_points` makes X read-only. A miss
     drops the held pair before building the next, so one pair (16 N^2
     bytes) stays resident at most. A = L L^T is positive definite for
-    alpha > 0, and numpy has no triangular solve, so :func:`lower_inverse`
-    inverts L in place; an indefinite A raises IntegrityError. The budget
-    check counts the larger of :func:`build_T`'s peak and 24 N^2 bytes: A,
-    L and the copy ``cholesky`` makes inside numpy's linalg extension,
-    where tracemalloc does not see it.
+    alpha > 0, and numpy has no triangular solve, so
+    :func:`inverse_cholesky` overwrites a copy of A with L^(-1) and A stays
+    for the residual check; an indefinite A raises IntegrityError. The
+    budget check counts the larger of :func:`build_T`'s peak and 16 N^2
+    bytes plus the kernel's row-block temporaries
+    (:func:`inverse_cholesky_bytes`), all of it numpy memory that
+    tracemalloc sees.
     """
     global _normal_slot
     slot = _normal_slot
@@ -522,13 +525,14 @@ def _normal_system(instance: SamplingInstance, alpha: float):
     slot = _normal_slot = None
     d, M, r = instance.d, instance.M, instance.r
     n_coeff = (2 * M + 1) ** d
-    _check_budget(max(_gram_bytes(d, M, r), 24 * n_coeff**2), None,
-                  "build_T and the factor of the normal matrix")
+    factor = 16 * n_coeff**2 + inverse_cholesky_bytes(n_coeff)
+    check_budget(max(_gram_bytes(d, M, r), factor), None,
+                 "build_T and the factor of the normal matrix")
     A = build_T(instance)
     A /= instance.beta
     A[np.diag_indices_from(A)] += alpha
     try:
-        L_inv = lower_inverse(np.linalg.cholesky(A))
+        L_inv = inverse_cholesky(A.copy())
     except np.linalg.LinAlgError as exc:
         raise IntegrityError(f"matrix is not positive definite ({exc})") from None
     A.flags.writeable = L_inv.flags.writeable = False

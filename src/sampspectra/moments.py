@@ -154,11 +154,34 @@ def moment_eval(expansion: MomentExpansion, d: int, beta):
 
 
 def moment_limit(p: int, beta) -> float:
-    """Large-d limit of the p-th moment: the Narayana polynomial in beta."""
+    """Large-d limit of the p-th moment: the Narayana polynomial in beta.
+
+    The terms are summed as floats while every Narayana number converts to
+    one (to about p = 515). Past that the sum is exact: with beta = a / b,
+    Horner's rule gives the integer sum_k Nar(p, k) a^(p-k) b^(k-1), and its
+    quotient by b^(p-1) is rounded once. A moment past the float range
+    raises ValueError.
+    """
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
     beta = check_beta(beta)
-    return float(sum(narayana(p, k) * beta ** (p - k) for k in range(1, p + 1)))
+    counts = [narayana(p, k) for k in range(1, p + 1)]
+    try:
+        value = float(sum(n * beta ** (p - k) for k, n in enumerate(counts, 1)))
+    except OverflowError:
+        a, b = beta.as_integer_ratio()
+        total, b_power = 0, 1
+        for n in counts:
+            total = total * a + n * b_power
+            b_power *= b
+        try:
+            value = total / (b_power // b)
+        except OverflowError:
+            value = math.inf
+    if value == math.inf:
+        raise ValueError(
+            f"the limit moment of order p={p} at beta={beta} is past the float range")
+    return value
 
 
 def crossing_envelope(p: int, d: int) -> float:

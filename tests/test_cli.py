@@ -2,6 +2,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 import sampspectra.cli
 import sampspectra.field_sim
 import sampspectra.volumes
-from sampspectra.cli import main
-from sampspectra.combinatorics import MAX_ORDER
+from sampspectra.cli import MAX_GRID_VALUES, main
+from sampspectra.combinatorics import MAX_ORDER, narayana
 from sampspectra.field_sim import estimate_bytes
 from sampspectra.marchenko_pastur import mp_lmmse
 from sampspectra.moments import moment_limit
@@ -263,6 +264,18 @@ class TestSpectrum:
                      "--bins", "0"]) == 2
         capsys.readouterr()
 
+    def test_histogram_past_the_budget_exits_three_before_any_trial(
+            self, monkeypatch, capsys):
+        # Three billion bins take terabytes; the trials would take kilobytes.
+        trials = []
+        monkeypatch.setattr(sampspectra.cli, "collect_spectra",
+                            lambda *args, **kwargs: trials.append(args))
+        assert main(["spectrum", "--d", "1", "--M", "2", "--beta", "0.5",
+                     "--trials", "1", "--bins", "3000000000"]) == 3
+        captured = capsys.readouterr()
+        assert "3000000000 bins" in captured.err
+        assert captured.out == "" and trials == []
+
     def test_three_dimensional_histogram_tracks_limit_density(self, capsys):
         # At d=3 the pooled histogram already sits close to the limiting
         # density: total-variation distance over the bins stays below 0.1.
@@ -298,6 +311,21 @@ class TestMp:
         _, _, rows = parse_csv(capsys.readouterr().out)
         assert [float(row[3]) for row in rows] == [1.0, 1.0]
 
+    def test_moment_past_every_float_narayana_number(self, capsys):
+        # Nar(600, k) reaches 1e355, but at beta = 0.01 the moment is 3.1e46.
+        assert main(["mp", "--beta", "0.01", "--p", "600"]) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 600
+        exact = sum(narayana(600, k) * Fraction(0.01) ** (600 - k) for k in range(1, 601))
+        assert float(rows[-1][2]) == float(exact)
+
+    def test_moment_past_the_float_range_exits_two(self, capsys):
+        # (1 + sqrt(0.5))^(2p) passes 1.8e308 at p = 673.
+        assert main(["mp", "--beta", "0.5", "--p", "700"]) == 2
+        captured = capsys.readouterr()
+        assert "p=673" in captured.err and "beta=0.5" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
     def test_modes_are_exclusive(self, capsys):
         assert main(["mp", "--beta", "0.4"]) == 2
         assert main(["mp", "--beta", "0.4", "--p", "3", "--snr", "10"]) == 2
@@ -325,6 +353,33 @@ class TestArgparse:
             main(command + ["--snr-grid", "30:0:5"])
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["mse", "--d", "1", "--M", "4", "--beta", "0.5"],
+        ["mp", "--beta", "0.5"],
+    ])
+    @pytest.mark.parametrize("grid", ["0:1e12:1", "0:10000:1", "0:1:1e-320"])
+    def test_snr_grid_past_the_cap_exits_two(self, command, grid):
+        # The values are counted before any is listed: a trillion would
+        # otherwise fill memory.
+        result = subprocess.run(
+            [sys.executable, "-m", "sampspectra.cli", *command, f"--snr-grid={grid}"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 2
+        assert f"more than {MAX_GRID_VALUES} values" in result.stderr
+        assert result.stdout == ""
+
+    def test_snr_grid_cap_is_in_the_help(self, capsys):
+        for command in ("mse", "mp"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert f"at most {MAX_GRID_VALUES} values" in capsys.readouterr().out
+
+    def test_snr_grid_at_the_cap_runs(self, capsys):
+        assert main(["mp", "--beta", "0.5", "--snr-grid", "0:9999:1"]) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == MAX_GRID_VALUES
 
     @pytest.mark.parametrize("grid", [
         "0:inf:5", "-inf:0:5", "nan:0:5", "0:30:nan", "0:30:inf",

@@ -657,11 +657,12 @@ class TestNormalSystem:
             instance.X[0, 0] = 0.5
 
     def test_budget_counts_the_inverse_before_work(self, builds, monkeypatch):
-        # At d=2, M=6 build_T's peak is below the 24 N^2 bytes of A, its
-        # factor and cholesky's copy, so only the second count rejects.
+        # At d=2, M=6 build_T's peak is below the 16 N^2 bytes of A and the
+        # copy the kernel overwrites, plus its row blocks, so only the
+        # second count rejects.
         instance = instance_for(2, 6, 0.5, 35)
         n_coeff = 13**2
-        held = 24 * n_coeff**2
+        held = 16 * n_coeff**2 + _linalg.inverse_cholesky_bytes(n_coeff)
         assert _gram_bytes(2, 6, instance.r) < held
         G = build_G(instance)
         realization = draw_realization(instance, 0.1, (35, 0), G=G)
@@ -674,38 +675,70 @@ class TestNormalSystem:
         assert builds == [instance]
 
     def test_budget_covers_measured_peak(self, builds, monkeypatch):
-        # The peak is A, the factor and cholesky's copy of A. That copy is
-        # not traced, so it is added to what is held when cholesky returns;
-        # the traced peak, A and the factor as it is inverted, stays below.
+        # The peak is A, the copy the kernel overwrites and its row blocks,
+        # all traced; only the leaf blocks numpy's linalg extension copies
+        # are not, and the kernel's count includes them.
         instance = instance_for(2, 10, 0.5, 38)
         n_coeff = 21**2
-        counted = max(_gram_bytes(2, 10, instance.r), 24 * n_coeff**2)
-        cholesky, held = np.linalg.cholesky, []
+        factor = 16 * n_coeff**2 + _linalg.inverse_cholesky_bytes(n_coeff)
+        counted = max(_gram_bytes(2, 10, instance.r), factor)
+        kernel, held = field_sim.inverse_cholesky, []
 
-        def traced_cholesky(A):
-            L = cholesky(A)
-            held.append(tracemalloc.get_traced_memory()[0] + 8 * n_coeff**2)
-            return L
+        def traced_kernel(A):
+            tracemalloc.reset_peak()
+            X = kernel(A)
+            held.append(tracemalloc.get_traced_memory()[1])
+            return X
 
-        monkeypatch.setattr(np.linalg, "cholesky", traced_cholesky)
+        monkeypatch.setattr(field_sim, "inverse_cholesky", traced_kernel)
         tracemalloc.start()
         try:
             field_sim._normal_system(instance, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counted / 2 <= peak <= counted + 2**19
-        assert counted / 2 <= held[0] <= counted + 2**19
+        assert counted / 2 <= peak <= counted
+        assert factor / 2 <= held[0] <= factor
+
+    def test_default_budget_reaches_the_spectra_cap(self, monkeypatch):
+        # Dense spectra at d=2 stop at M=53 under the 2 GiB default, and so
+        # does reconstruction. build_T stops each run before anything N x N
+        # is built.
+        monkeypatch.setattr(field_sim, "_normal_slot", None)
+        monkeypatch.delenv("SAMPSPECTRA_MAX_MEM", raising=False)
+
+        class Built(Exception):
+            pass
+
+        def stop(instance, max_bytes=None):
+            raise Built
+
+        monkeypatch.setattr(field_sim, "build_T", stop)
+        with pytest.raises(Built):
+            field_sim._normal_system(instance_for(2, 53, 0.5, 44), 0.1)
+        with pytest.raises(CapacityError, match="build_T"):
+            field_sim._normal_system(instance_for(2, 54, 0.5, 44), 0.1)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 441])
     def test_lower_inverse_matches_inv(self, n):
-        # 64 rows go to np.linalg.inv whole; 65 and 441 split into blocks.
+        # inverse_cholesky's L^(-1) against inv(cholesky(A)): 64 rows are one
+        # leaf; 65 and 441 split into blocks.
         rng = rng_for(40, n)
-        L = np.tril(rng.standard_normal((n, n))) + np.sqrt(n) * np.eye(n)
-        expected = np.linalg.inv(L)
-        X = _linalg.lower_inverse(L.copy())
+        B = rng.standard_normal((n, n + 8))
+        A = B @ B.T / n + 0.1 * np.eye(n)
+        expected = np.linalg.inv(np.linalg.cholesky(A))
+        X = _linalg.inverse_cholesky(A.copy())
         assert not np.triu(X, 1).any()
         assert np.max(np.abs(X - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_indefinite_schur_complement_is_not_positive_definite(self):
+        # [[I, 1.5 I], [1.5 I, I]] in 64-row blocks: the leading block and
+        # the trailing one are positive definite, the Schur complement
+        # I - 2.25 I is not.
+        I = np.eye(64)
+        A = np.block([[I, 1.5 * I], [1.5 * I, I]])
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _linalg.inverse_cholesky(A)
 
     def test_indefinite_normal_matrix_is_an_integrity_error(self, builds, monkeypatch):
         # -R / beta + alpha I has negative eigenvalues; numpy's LinAlgError
@@ -739,9 +772,9 @@ class TestNormalSystem:
     @staticmethod
     def scale_factor_inverse(monkeypatch, scale):
         # Scaling L^(-1) by sqrt(s) scales the applied inverse L^(-T) L^(-1) by s.
-        inverse = field_sim.lower_inverse
-        monkeypatch.setattr(field_sim, "lower_inverse",
-                            lambda L: np.sqrt(scale) * inverse(L))
+        inverse = field_sim.inverse_cholesky
+        monkeypatch.setattr(field_sim, "inverse_cholesky",
+                            lambda A: np.sqrt(scale) * inverse(A))
 
     def test_slightly_wrong_inverse_is_refined(self, builds, monkeypatch):
         # An inverse 1e-6 too large leaves a first residual of about 1e-6 |B|,
@@ -768,8 +801,8 @@ class TestNormalSystem:
     def test_nan_inverse_fails_the_residual_check(self, builds, monkeypatch):
         # A nan residual compares false with any bound, so the check must
         # fail on it rather than pass it.
-        monkeypatch.setattr(field_sim, "lower_inverse",
-                            lambda L: np.full_like(L, np.nan))
+        monkeypatch.setattr(field_sim, "inverse_cholesky",
+                            lambda A: np.full_like(A, np.nan))
         instance = instance_for(2, 3, 0.5, 37)
         G = build_G(instance)
         realization = draw_realization(instance, 0.1, (37, 0), G=G)
