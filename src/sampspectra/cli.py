@@ -34,7 +34,8 @@ import numpy as np
 
 from .combinatorics import PartitionPath, reduction_trace
 from .errors import CapacityError, IntegrityError
-from .field_sim import check_budget, check_trial_budget, collect_spectra, empirical_lmmse
+from .field_sim import check_budget, check_trial_budget, collect_spectra
+from .field_sim import empirical_lmmse, trial_sizes
 from .marchenko_pastur import mp_lmmse, mp_pdf
 from .moments import (
     check_beta,
@@ -291,47 +292,48 @@ def cmd_mse(args):
     rows = []
     for i_d, d in enumerate(args.d):
         for i_b, beta in enumerate(args.beta):
-            samples = collect_spectra(
+            n_coeff, r = trial_sizes(d, args.M, beta)
+            actual = n_coeff / r
+            spectra = collect_spectra(
                 d, args.M, beta, args.trials, (args.seed, i_d, i_b),
                 threads=args.threads, max_bytes=args.max_mem,
             )
-            actual = samples[0].beta
             for snr_db in snrs:
                 alpha = _alpha_of(snr_db)
-                per_trial = np.array([empirical_lmmse(s, alpha) for s in samples])
+                per_trial = empirical_lmmse(spectra, actual, alpha)
                 stderr = 0.0
                 if len(per_trial) > 1:
                     stderr = float(per_trial.std(ddof=1) / np.sqrt(len(per_trial)))
                 rows.append((
-                    d, args.M, samples[0].r, float(actual),
+                    d, args.M, r, float(actual),
                     float(snr_db), float(mp_lmmse(actual, alpha)),
                     float(per_trial.mean()), stderr, args.trials, args.seed,
                 ))
+            del spectra  # before the next (d, beta): the budget counts one array
     _emit_table(args, config, columns, rows)
 
 
 def cmd_spectrum(args):
     if args.bins < 1:
         raise ValueError(f"bins must be positive, got {args.bins}")
-    # Once the trials end, their eigenvalues are held twice (per trial and
-    # pooled) beside the histogram; both are checked before the first trial.
+    # Once the trials end, their (trials, N) array is held beside the
+    # histogram; both are checked before the first trial.
     check_trial_budget(args.d, args.M, args.beta, args.trials, args.threads,
                        args.max_mem)
-    eigenvalues = 16 * (2 * args.M + 1) ** args.d * args.trials
-    check_budget(eigenvalues + BIN_BYTES * args.bins, args.max_mem,
+    n_coeff, r = trial_sizes(args.d, args.M, args.beta)
+    check_budget(8 * n_coeff * args.trials + BIN_BYTES * args.bins, args.max_mem,
                  f"a histogram of {args.trials} trial(s) in {args.bins} bins")
     config = {
         "command": "spectrum", "d": args.d, "M": args.M, "beta": args.beta,
         "trials": args.trials, "seed": args.seed, "bins": args.bins,
         "format": args.format,
     }
-    samples = collect_spectra(args.d, args.M, args.beta, args.trials, args.seed,
+    spectra = collect_spectra(args.d, args.M, args.beta, args.trials, args.seed,
                               threads=args.threads, max_bytes=args.max_mem)
-    pooled = np.concatenate([s.eigenvalues for s in samples])
-    counts, edges = np.histogram(pooled, bins=args.bins)
+    counts, edges = np.histogram(spectra.ravel(), bins=args.bins)
     mass = counts / counts.sum()
     centers = (edges[:-1] + edges[1:]) / 2
-    density = mp_pdf(centers, samples[0].beta)
+    density = mp_pdf(centers, n_coeff / r)
     columns = ("bin_left", "bin_right", "bin_center", "mass", "mp_pdf")
     rows = [
         (float(edges[i]), float(edges[i + 1]), float(centers[i]),

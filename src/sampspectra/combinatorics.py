@@ -134,6 +134,15 @@ def narayana(p: int, k: int) -> int:
     return q
 
 
+def narayana_row(p: int) -> list:
+    """Nar(p, 1..p) by the exact Nar(p, k+1) = Nar(p, k) (p-k)(p-k+1) / (k(k+1))."""
+    _check_pk(p, 1)
+    row = [1]
+    for k in range(1, p):
+        row.append(row[-1] * (p - k) * (p - k + 1) // (k * (k + 1)))
+    return row
+
+
 def catalan(p: int) -> int:
     """Catalan number: non-crossing partitions of {1..p}."""
     if p < 0:

@@ -49,14 +49,18 @@ _ROW_BLOCK = 64
 _GENERATOR_CHUNK_BYTES = 16 * 2**20
 
 
+def _seed_key(seed) -> tuple:
+    """The seed as a tuple: an int, or a tuple or list of ints."""
+    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+
+
 def rng_for(seed, *stream) -> np.random.Generator:
     """Counter-based generator for the given seed and stream tags.
 
-    ``seed`` may be an int or a tuple of ints; extra tags extend the key so
-    that distinct (seed, tag...) combinations give independent streams.
+    ``seed`` may be an int or a tuple or list of ints; extra tags extend the
+    key so that distinct (seed, tag...) combinations give independent streams.
     """
-    entropy = list(seed) if isinstance(seed, (tuple, list)) else [int(seed)]
-    entropy.extend(int(s) for s in stream)
+    entropy = [*_seed_key(seed), *(int(s) for s in stream)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -111,15 +115,6 @@ class SamplingInstance:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectrumSample:
-    """Eigenvalues of one realization of T, with the instance's size and ratio."""
-
-    eigenvalues: np.ndarray
-    r: int
-    beta: float
-
-
-@dataclass(frozen=True, eq=False)
 class FieldRealization:
     """One draw of coefficients ``a``, noise ``n``, and samples ``p = G* a + n``.
 
@@ -141,7 +136,7 @@ def _coefficient_count(d: int, M: int) -> int:
     return (2 * M + 1) ** d
 
 
-def _sizes(d: int, M: int, beta: float) -> tuple:
+def trial_sizes(d: int, M: int, beta: float) -> tuple:
     """Validated (N, r) of a trial, with r = round(N / beta) but at least N + 1."""
     n_coeff = _coefficient_count(d, M)
     if not 0 < beta < 1:
@@ -168,7 +163,7 @@ def sample_points(r: int, d: int, seed, M: int) -> SamplingInstance:
 
 def instance_for(d: int, M: int, beta: float, seed) -> SamplingInstance:
     """Instance with r = round(N / beta); the exact beta is recomputed from r."""
-    _, r = _sizes(d, M, beta)
+    _, r = trial_sizes(d, M, beta)
     return sample_points(r, d, seed, M)
 
 
@@ -217,7 +212,7 @@ def estimate_bytes(d: int, M: int, beta: float) -> int:
     numpy's linalg extension. That copy is allocated outside numpy's array
     allocator, so tracemalloc does not see it.
     """
-    n_coeff, r = _sizes(d, M, beta)
+    n_coeff, r = trial_sizes(d, M, beta)
     return max(_gram_bytes(d, M, r), 16 * n_coeff**2)
 
 
@@ -236,16 +231,19 @@ def check_trial_budget(d: int, M: int, beta: float, trials: int, threads: int = 
     """Raise CapacityError unless the trials that run at once fit the budget.
 
     ``threads`` workers run min(threads, trials) trials concurrently, each
-    with the working set of :func:`estimate_bytes`. Invalid parameters
-    raise ValueError before any work.
+    with the working set of :func:`estimate_bytes`, beside the 8 N bytes a
+    trial of the (trials, N) array that :func:`collect_spectra` fills.
+    Invalid parameters raise ValueError before any work.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
     concurrent = min(threads, trials)
-    check_budget(concurrent * estimate_bytes(d, M, beta), max_bytes,
-                 f"{concurrent} concurrent trial(s) at d={d}, M={M}, beta={beta}")
+    n_coeff, _ = trial_sizes(d, M, beta)
+    check_budget(concurrent * estimate_bytes(d, M, beta) + 8 * n_coeff * trials,
+                 max_bytes, f"{concurrent} concurrent trial(s) and the spectra of "
+                 f"{trials} at d={d}, M={M}, beta={beta}")
 
 
 # --- matrices and spectra -----------------------------------------------------
@@ -395,35 +393,37 @@ def build_T(instance: SamplingInstance, max_bytes=None) -> np.ndarray:
     return R
 
 
-def hermitian_eigenvalues(T: np.ndarray, instance: SamplingInstance) -> SpectrumSample:
-    """Ascending eigenvalues of T with integrity checks.
+def hermitian_eigenvalues(T: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the real symmetric T with integrity checks.
 
-    Rejects visibly non-Hermitian input, verifies the trace identity
-    sum(lambda) = tr T and the Frobenius identity sum(lambda^2) = ||T||_F^2,
-    and clamps round-off negatives (within 1e-10 N of zero) to exactly zero.
-    Both identities hold for any Hermitian matrix, so no eigenvector is
-    needed to check the spectrum.
+    Rejects complex and visibly non-symmetric input, verifies the trace
+    identity sum(lambda) = tr T and the Frobenius identity sum(lambda^2) =
+    ||T||_F^2, and clamps round-off negatives (within 1e-10 N of zero) to
+    exactly zero. Both identities hold for any symmetric matrix, so no
+    eigenvector is needed to check the spectrum.
     """
     n = T.shape[0]
     if T.shape != (n, n):
         raise ValueError(f"T must be square, got {T.shape}")
+    if np.iscomplexobj(T):
+        raise ValueError(f"T must be real symmetric, got {T.dtype}")
     # Row blocks from the diagonal on meet each pair once, in temporaries of
     # a few rows of T. np.maximum keeps a nan, and every check below fails on one.
-    deviation, conj = 0.0, np.conj if np.iscomplexobj(T) else np.asarray
+    deviation = 0.0
     for s in range(0, n, _ROW_BLOCK):
         e = s + _ROW_BLOCK
-        deviation = np.maximum(deviation, np.max(np.abs(T[s:e, s:] - conj(T[s:, s:e].T))))
+        deviation = np.maximum(deviation, np.max(np.abs(T[s:e, s:] - T[s:, s:e].T)))
     if not deviation <= _HERMITIAN_TOL:
         raise IntegrityError(f"input is non-Hermitian (max deviation {deviation})")
     eigenvalues = np.linalg.eigvalsh(T)
 
-    trace = float(np.real(np.trace(T)))
+    trace = float(np.trace(T))
     if not abs(eigenvalues.sum() - trace) <= _TRACE_RTOL * max(abs(trace), 1.0):
         raise IntegrityError(
             f"eigenvalue sum {eigenvalues.sum()} disagrees with trace {trace}"
         )
 
-    frobenius = float(np.vdot(T, T).real)
+    frobenius = float(np.vdot(T, T))
     squares = float(eigenvalues @ eigenvalues)
     if not abs(squares - frobenius) <= _TRACE_RTOL * max(frobenius, 1.0):
         raise IntegrityError(
@@ -436,26 +436,23 @@ def hermitian_eigenvalues(T: np.ndarray, instance: SamplingInstance) -> Spectrum
         raise IntegrityError(
             f"eigenvalue {eigenvalues[0]} below the clamping floor -{clamp}"
         )
-    eigenvalues = np.maximum(eigenvalues, 0.0)
-    return SpectrumSample(eigenvalues=eigenvalues, r=instance.r, beta=instance.beta)
+    return np.maximum(eigenvalues, 0.0)
 
 
-def _seed_entropy(seed):
-    return seed if isinstance(seed, (tuple, list)) else (int(seed),)
+def empirical_lmmse(eigenvalues: np.ndarray, beta: float, alpha: float):
+    """Spectral form of the mean reconstruction error, one value per spectrum.
 
-
-def empirical_lmmse(sample: SpectrumSample, alpha: float) -> float:
-    """Spectral form of the mean reconstruction error for this realization.
-
-    Equals (1/N) trace of alpha beta (T + alpha beta I)^(-1); exactly the
-    (a, n)-averaged LMMSE error of the realization's sampling operator.
+    Equals (1/N) trace of alpha beta (T + alpha beta I)^(-1) for a spectrum
+    of T at ratio beta; exactly the (a, n)-averaged LMMSE error of that
+    realization's sampling operator. The mean runs over the last axis, so a
+    (trials, N) array gives one value per row and one spectrum a scalar.
     """
     if not 0 <= alpha < np.inf:
         raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
-    if alpha == 0:
-        return 0.0
-    shift = alpha * sample.beta
-    return float(np.mean(shift / (sample.eigenvalues + shift)))
+    shift = alpha * beta
+    # At alpha = 0 a clamped zero eigenvalue would give 0/0; the error is 0.
+    ratio = shift / (eigenvalues + shift) if alpha else np.zeros_like(eigenvalues)
+    return np.mean(ratio, axis=-1)
 
 
 # --- field synthesis and reconstruction --------------------------------------
@@ -588,23 +585,29 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
 
 
 def collect_spectra(d: int, M: int, beta: float, trials: int, seed,
-                    threads: int = 1, max_bytes=None) -> list:
-    """Eigenvalue samples for ``trials`` independent sampling instances.
+                    threads: int = 1, max_bytes=None) -> np.ndarray:
+    """Spectra of ``trials`` independent sampling instances, as (trials, N).
 
-    Trial t uses the stream key (seed, t), so the returned list is a pure
-    function of the arguments; the thread count only affects wall time.
+    Row t holds the clamped, ascending eigenvalues of trial t, whose instance
+    uses the stream key (seed, t), so the array is a pure function of the
+    arguments; the thread count only affects wall time.
     """
     check_trial_budget(d, M, beta, trials, threads, max_bytes)
-    base = _seed_entropy(seed)
+    n_coeff, _ = trial_sizes(d, M, beta)
+    base = _seed_key(seed)
+    spectra = np.empty((trials, n_coeff))
 
     def one(trial):
         instance = instance_for(d, M, beta, base + (trial,))
-        return hermitian_eigenvalues(build_T(instance, max_bytes=max_bytes), instance)
+        spectra[trial] = hermitian_eigenvalues(build_T(instance, max_bytes=max_bytes))
 
     if threads <= 1:
-        return [one(t) for t in range(trials)]
+        for trial in range(trials):
+            one(trial)
+        return spectra
     # Imported on first threaded use: it adds milliseconds to every import.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(trials)))
+        list(pool.map(one, range(trials)))  # raises a failed trial's error
+    return spectra

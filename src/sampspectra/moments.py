@@ -37,7 +37,7 @@ from .combinatorics import (
     bell,
     catalan,
     iter_partition_paths,  # noqa: F401  wrapped by perfbench/tracer.py
-    narayana,
+    narayana_row,
     stirling2,
 )
 from .errors import CapacityError, IntegrityError
@@ -89,7 +89,7 @@ def moment_expansion(p: int) -> MomentExpansion:
         raise CapacityError(
             f"moment order {p} exceeds the configured maximum {MAX_ORDER}"
         )
-    agg = {(Fraction(1), k): narayana(p, k) for k in range(1, p + 1)}
+    agg = {(Fraction(1), k): n for k, n in enumerate(narayana_row(p), 1)}
     for labels, count, volume in _class_rows(p):
         e, v = len(labels), max(labels)
         for k in range(v, p - e + v + 1):
@@ -165,7 +165,7 @@ def moment_limit(p: int, beta) -> float:
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
     beta = check_beta(beta)
-    counts = [narayana(p, k) for k in range(1, p + 1)]
+    counts = narayana_row(p)
     try:
         value = float(sum(n * beta ** (p - k) for k, n in enumerate(counts, 1)))
     except OverflowError:

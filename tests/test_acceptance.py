@@ -34,6 +34,7 @@ from sampspectra.field_sim import (
     hermitian_eigenvalues,
     instance_for,
     reconstruct_field,
+    trial_sizes,
 )
 from sampspectra.marchenko_pastur import mp_expectation, mp_lmmse
 from sampspectra.moments import (
@@ -168,9 +169,9 @@ def test_criterion_07_monte_carlo_moments():
     worst = (0.0, None)
     for d, M in ((1, 50), (2, 3)):
         for beta in (0.3, 0.5, 0.8):
-            samples = collect_spectra(d, M, beta, trials=100, seed=SEED)
-            pooled = np.concatenate([s.eigenvalues for s in samples])
-            actual = samples[0].beta
+            pooled = collect_spectra(d, M, beta, trials=100, seed=SEED).ravel()
+            n_coeff, r = trial_sizes(d, M, beta)
+            actual = n_coeff / r
             for p in range(1, 5):
                 empirical = float(np.mean(pooled**p))
                 exact = moment_eval(expansions[p], d, actual)
@@ -185,12 +186,13 @@ def test_criterion_07_monte_carlo_moments():
 
 
 def _lmmse_gaps(d, M, beta, trials=50):
-    samples = collect_spectra(d, M, beta, trials=trials, seed=SEED)
-    actual = samples[0].beta
+    spectra = collect_spectra(d, M, beta, trials=trials, seed=SEED)
+    n_coeff, r = trial_sizes(d, M, beta)
+    actual = n_coeff / r
     gaps = []
     for snr_db in SNR_GRID_DB:
         alpha = 10 ** (-snr_db / 10)
-        empirical = float(np.mean([empirical_lmmse(s, alpha) for s in samples]))
+        empirical = float(np.mean(empirical_lmmse(spectra, actual, alpha)))
         gaps.append(abs(empirical - mp_lmmse(actual, alpha)))
     return gaps
 
@@ -236,9 +238,9 @@ def test_criterion_08_simulation_scale_error_prediction():
 def test_criterion_09_reconstruction_error_consistency():
     instance = instance_for(1, 10, 0.5, SEED)
     G = build_G(instance)
-    sample = hermitian_eigenvalues(build_T(instance), instance)
+    eigenvalues = hermitian_eigenvalues(build_T(instance))
     alpha = 10 ** (-10 / 10)
-    predicted = empirical_lmmse(sample, alpha)
+    predicted = empirical_lmmse(eigenvalues, instance.beta, alpha)
     errors = [
         reconstruct_field(
             instance, draw_realization(instance, alpha, (SEED, i), G=G), alpha, G=G

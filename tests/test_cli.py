@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sampspectra.cli
@@ -12,7 +13,7 @@ import sampspectra.field_sim
 import sampspectra.volumes
 from sampspectra.cli import MAX_GRID_VALUES, main
 from sampspectra.combinatorics import MAX_ORDER, narayana
-from sampspectra.field_sim import estimate_bytes
+from sampspectra.field_sim import build_T, estimate_bytes, hermitian_eigenvalues, instance_for
 from sampspectra.marchenko_pastur import mp_lmmse
 from sampspectra.moments import moment_limit
 
@@ -195,6 +196,33 @@ class TestMse:
         assert float(noisy[5]) == pytest.approx(mp_lmmse(beta_actual, 0.1))
         assert 0 < float(noisy[6]) < 1
 
+    def test_rows_match_the_spectra_trial_by_trial(self, capsys):
+        # Every row recomputed from each trial's own instance and spectrum,
+        # as separate arrays: the (trials, N) path keeps the same floats.
+        assert main(["mse", "--d", "1,2", "--M", "3", "--beta", "0.4,0.7",
+                     "--snr", "0,10,inf", "--trials", "4", "--seed", "5",
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        got = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+        expected = []
+        for i_d, d in enumerate((1, 2)):
+            for i_b, beta in enumerate((0.4, 0.7)):
+                instances = [instance_for(d, 3, beta, (5, i_d, i_b, t)) for t in range(4)]
+                spectra = [hermitian_eigenvalues(build_T(inst)) for inst in instances]
+                for snr_db in (0.0, 10.0, np.inf):
+                    alpha = 0.0 if snr_db == np.inf else 10.0 ** (-snr_db / 10.0)
+                    shift = alpha * instances[0].beta
+                    per_trial = np.array([
+                        float(np.mean(shift / (lam + shift))) if alpha else 0.0
+                        for lam in spectra
+                    ])
+                    expected.append({
+                        "r": instances[0].r, "beta": instances[0].beta,
+                        "mse_empirical": float(per_trial.mean()),
+                        "stderr": float(per_trial.std(ddof=1) / np.sqrt(4)),
+                    })
+        assert [{key: row[key] for key in expected[0]} for row in got] == expected
+
     def test_grid_expansion(self, capsys):
         main(["mse", "--d", "1", "--M", "4", "--beta", "0.5",
               "--snr-grid", "0:20:5", "--trials", "2"])
@@ -234,7 +262,7 @@ class TestMse:
         assert code == 3
         assert not out.exists()
         # One trial fits, but four threads would run four at once.
-        budget = str(2 * estimate_bytes(1, 20, 0.5))
+        budget = str(2 * estimate_bytes(1, 20, 0.5) + 8 * 41 * 4)
         code = main(["mse", "--d", "1", "--M", "20", "--beta", "0.5", "--snr", "10",
                      "--trials", "4", "--threads", "4", "--max-mem", budget,
                      "--out", str(out)])

@@ -12,6 +12,7 @@ from sampspectra.combinatorics import (
     iter_cores,
     iter_partition_paths,
     narayana,
+    narayana_row,
     reduce_path,
     reduction_trace,
     stirling2,
@@ -101,6 +102,12 @@ class TestCountingFunctions:
     def test_narayana_sums_to_catalan(self):
         for p in range(1, 11):
             assert sum(narayana(p, k) for k in range(1, p + 1)) == catalan(p)
+
+    def test_narayana_row_matches_the_closed_form(self):
+        for p in range(1, 51):
+            assert narayana_row(p) == [narayana(p, k) for k in range(1, p + 1)]
+        with pytest.raises(ValueError):
+            narayana_row(0)
 
     @pytest.mark.parametrize("fn", [stirling2, narayana])
     def test_block_count_range_checked(self, fn):

@@ -24,6 +24,7 @@ from sampspectra.field_sim import (
     reconstruct_field,
     rng_for,
     sample_points,
+    trial_sizes,
 )
 
 
@@ -179,8 +180,8 @@ class TestSynthesisMatrix:
         instance = instance_for(d, M, 0.5, (23, d, M))
         G = build_G(instance)
         expected = np.linalg.eigvalsh(instance.beta * (G @ G.conj().T))
-        sample = hermitian_eigenvalues(build_T(instance), instance)
-        assert np.max(np.abs(sample.eigenvalues - expected)) <= 1e-12
+        lam = hermitian_eigenvalues(build_T(instance))
+        assert np.max(np.abs(lam - expected)) <= 1e-12
 
     def test_gather_that_drops_the_imaginary_part_fails(self, monkeypatch):
         # Re T alone is real symmetric too, but it has a smaller Frobenius
@@ -285,8 +286,7 @@ class TestSynthesisMatrix:
 class TestSpectra:
     def test_eigenvalues_clamped_sorted_and_traced(self):
         instance = instance_for(1, 8, 0.4, 11)
-        sample = hermitian_eigenvalues(build_T(instance), instance)
-        lam = sample.eigenvalues
+        lam = hermitian_eigenvalues(build_T(instance))
         assert (lam >= 0).all()
         assert (np.diff(lam) >= 0).all()
         assert lam.sum() == pytest.approx(17, rel=1e-12)
@@ -299,7 +299,7 @@ class TestSpectra:
         T = build_T(instance)
         tracemalloc.start()
         try:
-            hermitian_eigenvalues(T, instance)
+            hermitian_eigenvalues(T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -313,16 +313,15 @@ class TestSpectra:
             T = build_T(instance)
             T[i, j] += 1e-3
             with pytest.raises(IntegrityError, match="non-Hermitian"):
-                hermitian_eigenvalues(T, instance)
+                hermitian_eigenvalues(T)
 
     def test_rejects_complex_symmetric(self):
-        # Equal across the diagonal but not conjugate: complex input is
-        # compared with the conjugate transpose.
+        # The simulation works in the real frame only: complex input is
+        # rejected, even when it is Hermitian.
         instance = instance_for(1, 40, 0.5, 0)
         T = build_T(instance).astype(complex)
-        T[70, 2] = T[2, 70] = T[2, 70] + 1e-3j
-        with pytest.raises(IntegrityError, match="non-Hermitian"):
-            hermitian_eigenvalues(T, instance)
+        with pytest.raises(ValueError, match="real symmetric"):
+            hermitian_eigenvalues(T)
 
     @pytest.mark.parametrize("i, j", [(0, 1), (80, 79), (2, 70), (40, 40)])
     def test_rejects_a_symmetric_nan(self, i, j):
@@ -332,24 +331,36 @@ class TestSpectra:
         T = build_T(instance)
         T[i, j] = T[j, i] = np.nan
         with pytest.raises(IntegrityError, match="non-Hermitian"):
-            hermitian_eigenvalues(T, instance)
+            hermitian_eigenvalues(T)
 
     def test_rejects_non_square(self):
-        instance = instance_for(1, 3, 0.5, 0)
         with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.ones((3, 4)), instance)
+            hermitian_eigenvalues(np.ones((3, 4)))
 
     def test_spectral_error_form(self):
         instance = instance_for(1, 6, 0.5, 3)
-        sample = hermitian_eigenvalues(build_T(instance), instance)
-        assert empirical_lmmse(sample, 0.0) == 0.0
-        shift = 0.1 * sample.beta
-        direct = float(np.mean(shift / (sample.eigenvalues + shift)))
-        assert empirical_lmmse(sample, 0.1) == pytest.approx(direct, rel=1e-14)
-        assert empirical_lmmse(sample, 1e9) == pytest.approx(1.0, abs=1e-6)
+        lam, beta = hermitian_eigenvalues(build_T(instance)), instance.beta
+        assert empirical_lmmse(lam, beta, 0.0) == 0.0
+        shift = 0.1 * beta
+        direct = float(np.mean(shift / (lam + shift)))
+        assert empirical_lmmse(lam, beta, 0.1) == pytest.approx(direct, rel=1e-14)
+        assert empirical_lmmse(lam, beta, 1e9) == pytest.approx(1.0, abs=1e-6)
         for alpha in (-0.5, np.nan, np.inf):
             with pytest.raises(ValueError):
-                empirical_lmmse(sample, alpha)
+                empirical_lmmse(lam, beta, alpha)
+
+    def test_spectral_error_form_is_row_wise(self):
+        # One value per row of a (trials, N) array, equal as floats to each
+        # row on its own; at alpha = 0 a clamped zero gives 0, not 0/0.
+        spectra = collect_spectra(1, 6, 0.5, trials=7, seed=3)
+        n_coeff, r = trial_sizes(1, 6, 0.5)
+        beta = n_coeff / r
+        for alpha in (0.0, 0.1, 3.0):
+            rows = empirical_lmmse(spectra, beta, alpha)
+            assert rows.shape == (7,)
+            assert list(rows) == [empirical_lmmse(lam, beta, alpha) for lam in spectra]
+        clamped = np.array([[0.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+        assert list(empirical_lmmse(clamped, 0.5, 0.0)) == [0.0, 0.0]
 
 
 class TestSpectrumChecks:
@@ -358,81 +369,117 @@ class TestSpectrumChecks:
 
     @pytest.fixture
     def case(self):
-        instance = instance_for(2, 2, 0.5, 5)
-        T = build_T(instance)
-        return instance, T, np.linalg.eigvalsh(T)
+        T = build_T(instance_for(2, 2, 0.5, 5))
+        return T, np.linalg.eigvalsh(T)
 
     @staticmethod
     def solver_returns(monkeypatch, eigenvalues):
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda _: eigenvalues)
 
     def test_unpatched_spectrum_passes(self, case):
-        instance, T, lam = case
-        sample = hermitian_eigenvalues(T, instance)
-        assert np.allclose(sample.eigenvalues, lam, atol=1e-14)
+        T, lam = case
+        assert np.allclose(hermitian_eigenvalues(T), lam, atol=1e-14)
 
     def test_single_shift_fails_trace(self, case, monkeypatch):
-        instance, T, lam = case
+        T, lam = case
         bad = lam.copy()
         bad[-1] += 1e-6
         self.solver_returns(monkeypatch, bad)
         with pytest.raises(IntegrityError, match="disagrees with trace"):
-            hermitian_eigenvalues(T, instance)
+            hermitian_eigenvalues(T)
 
     def test_trace_preserving_pair_shift_fails_frobenius(self, case, monkeypatch):
-        instance, T, lam = case
+        T, lam = case
         bad = lam.copy()
         bad[len(bad) // 2] -= 1e-4
         bad[-1] += 1e-4
         assert abs(bad.sum() - lam.sum()) < 1e-12
         self.solver_returns(monkeypatch, bad)
         with pytest.raises(IntegrityError, match="Frobenius"):
-            hermitian_eigenvalues(T, instance)
+            hermitian_eigenvalues(T)
 
     def test_spectrum_of_nudged_matrix_fails_frobenius(self, case, monkeypatch):
         # Hermitian and with the same diagonal, so its spectrum keeps the
         # trace of T; only the sum of squares can tell the two apart.
-        instance, T, _ = case
+        T, _ = case
         nudged = T.copy()
         step = 1e-3 * T[0, 1] / abs(T[0, 1])
         nudged[0, 1] += step
         nudged[1, 0] += np.conj(step)
         self.solver_returns(monkeypatch, np.linalg.eigvalsh(nudged))
         with pytest.raises(IntegrityError, match="Frobenius"):
-            hermitian_eigenvalues(T, instance)
+            hermitian_eigenvalues(T)
 
     def test_nan_spectrum_fails_trace(self, case, monkeypatch):
-        instance, T, lam = case
+        T, lam = case
         bad = lam.copy()
         bad[-1] = np.nan
         self.solver_returns(monkeypatch, bad)
         with pytest.raises(IntegrityError, match="disagrees with trace"):
-            hermitian_eigenvalues(T, instance)
+            hermitian_eigenvalues(T)
 
     def test_eigenvalue_below_clamp_floor(self):
         # A Hermitian unit-diagonal matrix that no Gram matrix can be: its
         # lowest eigenvalue is 1 - sqrt(2). Trace and Frobenius identities
         # hold, so only the clamp floor rejects it.
-        instance = SamplingInstance(d=1, M=1, r=4, beta=0.75, X=np.zeros((4, 1)))
-        T = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=complex)
+        T = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
         with pytest.raises(IntegrityError, match="clamping floor"):
-            hermitian_eigenvalues(T, instance)
+            hermitian_eigenvalues(T)
 
 
 class TestCollect:
     def test_thread_count_never_changes_results(self):
         serial = collect_spectra(1, 6, 0.5, trials=6, seed=77, threads=1)
         threaded = collect_spectra(1, 6, 0.5, trials=6, seed=77, threads=4)
-        assert len(serial) == len(threaded) == 6
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert serial.shape == threaded.shape == (6, 13)
+        assert np.array_equal(serial, threaded)
 
     def test_trials_are_distinct_and_reproducible(self):
         once = collect_spectra(1, 5, 0.5, trials=3, seed=9)
         again = collect_spectra(1, 5, 0.5, trials=3, seed=9)
-        for a, b in zip(once, again):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert not np.array_equal(once[0].eigenvalues, once[1].eigenvalues)
+        assert np.array_equal(once, again)
+        assert not np.array_equal(once[0], once[1])
+
+    def test_rows_are_the_trials_spectra(self):
+        # Row t is trial t's own verified spectrum, under the key (seed, t).
+        spectra = collect_spectra(2, 2, 0.4, trials=3, seed=(4, 1))
+        assert spectra.dtype == np.float64 and spectra.flags.c_contiguous
+        for t, row in enumerate(spectra):
+            instance = instance_for(2, 2, 0.4, (4, 1, t))
+            assert np.array_equal(row, hermitian_eigenvalues(build_T(instance)))
+
+    def test_list_seed_matches_the_tuple_seed(self):
+        listed = collect_spectra(1, 3, 0.5, trials=2, seed=[1, 2])
+        assert np.array_equal(listed, collect_spectra(1, 3, 0.5, trials=2, seed=(1, 2)))
+
+    def test_kept_spectra_hold_eight_bytes_an_eigenvalue(self):
+        # N = 5: the returned array holds 40 bytes a trial plus one header.
+        # What it holds is what dropping it frees; caches and free lists
+        # that the trials filled stay out of the count.
+        trials, n_coeff = 5000, 5
+        tracemalloc.start()
+        try:
+            spectra = collect_spectra(1, 2, 0.5, trials=trials, seed=0)
+            shape = spectra.shape
+            held = tracemalloc.get_traced_memory()[0]
+            del spectra
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert shape == (trials, n_coeff)
+        assert held <= 8 * n_coeff * trials + 1024
+
+    def test_kept_spectra_alone_past_the_budget_fail_before_work(self, monkeypatch):
+        # One trial at N = 5 needs kilobytes; 10^6 of them keep 40 MB.
+        built = []
+        monkeypatch.setattr(field_sim, "build_T", lambda *a, **k: built.append(a))
+        budget = 8 * 5 * 10**6 - 1
+        assert estimate_bytes(1, 2, 0.5) < budget // 1000
+        with pytest.raises(CapacityError, match="spectra of 1000000"):
+            check_trial_budget(1, 2, 0.5, trials=10**6, max_bytes=budget)
+        with pytest.raises(CapacityError):
+            collect_spectra(1, 2, 0.5, trials=10**6, seed=0, max_bytes=budget)
+        assert built == []
 
     def test_argument_and_budget_checks(self):
         with pytest.raises(ValueError):
@@ -442,7 +489,7 @@ class TestCollect:
 
     def test_threaded_peak_within_checked_budget(self):
         # Four threads run four trials at once; the check counts all four.
-        checked = 4 * estimate_bytes(3, 4, 0.5)
+        checked = 4 * estimate_bytes(3, 4, 0.5) + 8 * 729 * 4
         with pytest.raises(CapacityError):
             collect_spectra(3, 4, 0.5, trials=4, seed=1, threads=4, max_bytes=checked - 1)
         tracemalloc.start()
@@ -454,7 +501,7 @@ class TestCollect:
         assert peak <= checked
 
     def test_concurrent_trials_over_budget_fail_before_work(self, monkeypatch):
-        one_trial = estimate_bytes(1, 20, 0.5)
+        one_trial = estimate_bytes(1, 20, 0.5) + 8 * 41 * 4
         collect_spectra(1, 20, 0.5, trials=2, seed=0, threads=1, max_bytes=one_trial)
         check_trial_budget(1, 20, 0.5, trials=4, threads=1, max_bytes=one_trial)
         built = []
@@ -466,11 +513,12 @@ class TestCollect:
 
     @pytest.mark.parametrize("d, M, fits", [
         (3, 10, True), (3, 11, False), (2, 53, True), (2, 54, False),
-        (1, 4000, True), (1, 5792, True), (1, 5793, False),
+        (1, 4000, True), (1, 5791, True), (1, 5792, False), (1, 5793, False),
     ])
     def test_default_budget_caps(self, d, M, fits, monkeypatch):
-        # One trial needs 16 N^2 bytes at these sizes, so the 2 GiB default
-        # stops at N = 11585 (d=1), M = 53 (d=2) and M = 10 (d=3).
+        # One trial needs 16 N^2 bytes at these sizes, and its kept spectrum
+        # 8 N more, so the 2 GiB default stops at N = 11583 (d=1), M = 53
+        # (d=2) and M = 10 (d=3).
         monkeypatch.delenv("SAMPSPECTRA_MAX_MEM", raising=False)
         if fits:
             check_trial_budget(d, M, 0.5, 1)
@@ -526,9 +574,9 @@ class TestReconstruction:
         # the solver equals the eigenvalue trace form of the same instance.
         instance = instance_for(1, 6, 0.5, 8)
         G = build_G(instance)
-        sample = hermitian_eigenvalues(build_T(instance), instance)
+        lam = hermitian_eigenvalues(build_T(instance))
         alpha = 0.2
-        predicted = empirical_lmmse(sample, alpha)
+        predicted = empirical_lmmse(lam, instance.beta, alpha)
         draws = [
             reconstruct_field(instance, draw_realization(instance, alpha, (8, i), G=G),
                               alpha, G=G)[1]
