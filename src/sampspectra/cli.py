@@ -100,8 +100,11 @@ def _write_out(path, text: str):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # --- argument parsing ----------------------------------------------------------

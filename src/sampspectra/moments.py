@@ -41,7 +41,7 @@ from .combinatorics import (
     stirling2,
 )
 from .errors import CapacityError, IntegrityError
-from .volumes import volume_of  # noqa: F401  wrapped by perfbench/tracer.py
+from .volumes import table_rows, volume_of  # noqa: F401  volume_of wrapped by perfbench
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ def moment_expansion(p: int) -> MomentExpansion:
     of order e with v blocks and A_c cores adds A_c C(p, k - v)
     C(p, k + e - v) paths with k blocks: 16 classes of 394 cores stand for
     the 21,147 paths at p = 9. The classes are read from the committed
-    table (:func:`_class_rows`), whose rows through e = 12 a test rebuilds
-    from the cores. The binomial identity is verified by enumeration
-    through p = 13, and p = 14 also rests on the check below.
+    table (:func:`~sampspectra.volumes.table_rows`), whose rows through
+    e = 12 a test rebuilds from the cores. The binomial identity is verified
+    by enumeration through p = 13, and p = 14 also rests on the check below.
 
     Raises IntegrityError when a row read has a volume outside (0, 2/3] or
     when, for some k, the multiplicities do not sum to the Stirling number
@@ -90,7 +90,7 @@ def moment_expansion(p: int) -> MomentExpansion:
             f"moment order {p} exceeds the configured maximum {MAX_ORDER}"
         )
     agg = {(Fraction(1), k): n for k, n in enumerate(narayana_row(p), 1)}
-    for labels, count, volume in _class_rows(p):
+    for labels, count, volume in table_rows(p):
         e, v = len(labels), max(labels)
         for k in range(v, p - e + v + 1):
             key = (volume, k)
@@ -111,29 +111,6 @@ def moment_expansion(p: int) -> MomentExpansion:
         for v, k in sorted(agg, key=lambda vk: (vk[1], vk[0]))
     )
     return MomentExpansion(p=p, terms=terms)
-
-
-def _class_rows(p: int):
-    """Yield (labels, A_c, volume) for each committed core class with e <= p.
-
-    A row is a line ``labels A_c num/den`` of the generated table, and e is
-    the length of its representative core ``labels``. Rows are sorted by e,
-    so reading stops at the first one above p. This is the one reader of
-    the table; it is imported on first use, not with the package.
-    """
-    from . import _core_classes
-
-    for line in _core_classes.CORE_CLASSES.splitlines():
-        core, count, volume = line.split(" ")
-        labels = tuple(int(label) for label in core.split(","))
-        if len(labels) > p:
-            return
-        volume = Fraction(volume)
-        if not 0 < volume <= Fraction(2, 3):
-            raise IntegrityError(
-                f"core class [{core}] has volume {volume} outside (0, 2/3]"
-            )
-        yield labels, int(count), volume
 
 
 def moment_eval(expansion: MomentExpansion, d: int, beta):
@@ -159,8 +136,9 @@ def moment_limit(p: int, beta) -> float:
     The terms are summed as floats while every Narayana number converts to
     one (to about p = 515). Past that the sum is exact: with beta = a / b,
     Horner's rule gives the integer sum_k Nar(p, k) a^(p-k) b^(k-1), and its
-    quotient by b^(p-1) is rounded once. A moment past the float range
-    raises ValueError.
+    quotient by b^(p-1) is rounded once. Writing b = c 2^t with c odd (c = 1
+    for a float) turns the powers of 2 into shifts. A moment past the float
+    range raises ValueError.
     """
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
@@ -170,12 +148,14 @@ def moment_limit(p: int, beta) -> float:
         value = float(sum(n * beta ** (p - k) for k, n in enumerate(counts, 1)))
     except OverflowError:
         a, b = beta.as_integer_ratio()
-        total, b_power = 0, 1
-        for n in counts:
-            total = total * a + n * b_power
-            b_power *= b
+        t = (b & -b).bit_length() - 1
+        c = b >> t
+        total, c_power = 0, 1
+        for k, n in enumerate(counts):
+            total = total * a + (n * c_power << t * k)
+            c_power *= c
         try:
-            value = total / (b_power // b)
+            value = total / (c ** (p - 1) << t * (p - 1))
         except OverflowError:
             value = math.inf
     if value == math.inf:

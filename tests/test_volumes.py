@@ -1,12 +1,14 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sampspectra._core_classes
 import sampspectra.volumes
 from sampspectra.combinatorics import (
     PartitionPath,
@@ -18,7 +20,7 @@ from sampspectra.combinatorics import (
 )
 from sampspectra.errors import CapacityError, ConvergenceError, IntegrityError
 from sampspectra.volumes import (
-    clear_volume_cache,
+    table_rows,
     volume_exact,
     volume_of,
     volume_quadrature,
@@ -293,24 +295,58 @@ class TestVolumeExact:
             assert coeffs[degree] == volume_exact(path), core
 
 
+@pytest.fixture
+def fresh_class_index():
+    """volume_of builds its class index from the table the test patches,
+    and no later test reads that index."""
+    sampspectra.volumes._class_volumes.cache_clear()
+    yield
+    sampspectra.volumes._class_volumes.cache_clear()
+
+
 class TestVolumeOf:
     def test_reduces_first(self):
         assert volume_of([1, 2, 1, 2, 2]) == Fraction(2, 3)
         assert volume_of([1, 1, 2, 1, 2]) == Fraction(2, 3)
         assert volume_of([1, 2, 3, 2, 2, 1]) == 1
 
-    def test_cache_round_trip(self):
-        clear_volume_cache()
-        first = volume_of([1, 2, 1, 2])
-        second = volume_of([1, 2, 1, 2, 2])
-        assert first == second == Fraction(2, 3)
-        clear_volume_cache()
-        assert volume_of([1, 2, 1, 2]) == Fraction(2, 3)
+    def test_reads_the_table_without_counting(self, monkeypatch):
+        # The 21 survivors of p <= 7, then every core of order 13 and 14 with
+        # a singleton block appended, which reduction removes first.
+        survivors = sorted({reduce_path(labels).labels
+                            for p in range(1, 8) for labels in iter_partition_paths(p)})
+        expected = [volume_exact(labels) for labels in survivors]
+        rows = [(labels + (max(labels) + 1,), volume)
+                for labels, _, volume in table_rows(14) if len(labels) >= 13]
+        assert (len(survivors), len(rows)) == (21, 166 + 521)
+
+        def never(*args):
+            raise AssertionError("lattice count at run time")
+
+        monkeypatch.setattr(sampspectra.volumes, "volume_exact", never)
+        monkeypatch.setattr(sampspectra.volumes, "zeta_count", never)
+        assert [volume_of(labels) for labels in survivors] == expected
+        for labels, volume in rows:
+            assert volume_of(labels) == volume, labels
+
+    def test_core_past_the_table_is_refused(self):
+        with pytest.raises(CapacityError, match="path order 16 exceeds the maximum 14"):
+            volume_of([1, 2, 3, 4, 5, 6, 7, 8] * 2)
+
+    def test_core_missing_from_the_table_is_an_integrity_error(
+            self, monkeypatch, fresh_class_index):
+        lines = sampspectra._core_classes.CORE_CLASSES.splitlines()
+        dropped = next(line for line in lines if line.split(" ")[0].count(",") == 7)
+        core = [int(label) for label in dropped.split(" ")[0].split(",")]
+        monkeypatch.setattr(sampspectra._core_classes, "CORE_CLASSES",
+                            "\n".join(line for line in lines if line != dropped))
+        with pytest.raises(IntegrityError, match=re.escape(str(PartitionPath.of(core)))):
+            volume_of(core)
 
     def test_random_removal_order_gives_same_volume(self):
         # Independent reducer: apply the two removal rules at positions
-        # chosen at random rather than by the canonical scan. The volume
-        # must not depend on the order.
+        # chosen at random rather than by the canonical scan. The lattice
+        # count of that core must equal the table's volume for the path.
         def moves(labels):
             p = len(labels)
             out = []
@@ -350,9 +386,9 @@ class TestMultigraphClass:
                 assert (class_key(labels) == ()) == (not is_crossing(labels))
 
     def test_every_survivor_has_its_class_volume(self):
-        # The volume cache is keyed on the class, so after a reset
-        # volume_of returns the lattice-count volume of the first survivor
-        # of each class, which every other survivor must match.
+        # volume_of reads the committed table by class, volume_exact counts
+        # lattice points for the survivor itself: the two sources must agree
+        # on every survivor of its class.
         survivors = {reduce_path(labels).labels
                      for p in range(1, 8) for labels in iter_partition_paths(p)}
         pool = [labels for p in (8, 9) for labels in iter_partition_paths(p)]
@@ -366,7 +402,6 @@ class TestMultigraphClass:
                 if len(sampled) == 100:
                     break
         assert len(survivors) == 21 and len(sampled) == 100
-        clear_volume_cache()
         for labels in sorted(survivors) + sorted(sampled):
             survivor = PartitionPath.of(labels)
             assert volume_exact(survivor) == volume_of(survivor), labels
