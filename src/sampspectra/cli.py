@@ -34,9 +34,6 @@ import numpy as np
 
 from .combinatorics import PartitionPath, reduction_trace
 from .errors import CapacityError, IntegrityError
-from .field_sim import check_budget, check_trial_budget, collect_spectra
-from .field_sim import empirical_lmmse, trial_sizes
-from .marchenko_pastur import mp_lmmse, mp_pdf
 from .moments import (
     check_beta,
     check_d,
@@ -46,6 +43,35 @@ from .moments import (
     symbolic_expansion,
 )
 from .volumes import volume_exact, volume_quadrature
+
+# The simulation's layers are imported by the commands that run them, so
+# that `moments` and `volume` never compile them. Their names still become
+# attributes of this module: a command binds them when it starts, and any
+# other access resolves them through __getattr__. A name already bound,
+# such as a wrapper set on this module before main runs, is kept.
+_LAZY = {
+    "field_sim": ("check_budget", "check_trial_budget", "collect_spectra",
+                  "empirical_lmmse", "trial_sizes"),
+    "marchenko_pastur": ("mp_lmmse", "mp_pdf"),
+}
+
+
+def _load(*modules):
+    # __import__, unlike importlib.import_module, shows in -X importtime.
+    package = __import__(__package__, fromlist=modules)
+    scope = globals()
+    for module in modules:
+        for name in _LAZY[module]:
+            scope.setdefault(name, getattr(getattr(package, module), name))
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: Most values an --snr-grid may hold.
 MAX_GRID_VALUES = 10_000
@@ -279,6 +305,7 @@ def cmd_volume(args):
 
 
 def cmd_mse(args):
+    _load("field_sim", "marchenko_pastur")
     snrs = _resolve_snrs(args)
     # Reject any over-budget combination before the first trial runs.
     for d in args.d:
@@ -317,6 +344,7 @@ def cmd_mse(args):
 
 
 def cmd_spectrum(args):
+    _load("field_sim", "marchenko_pastur")
     if args.bins < 1:
         raise ValueError(f"bins must be positive, got {args.bins}")
     # Once the trials end, their (trials, N) array is held beside the
@@ -360,6 +388,7 @@ def cmd_mp(args):
             for beta in args.beta for p in range(1, args.p + 1)
         ]
     else:
+        _load("marchenko_pastur")
         snrs = _resolve_snrs(args)
         config["snr_db"] = snrs
         columns = ("beta", "snr_db", "alpha", "mse_mp")

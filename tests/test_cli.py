@@ -629,3 +629,93 @@ class TestImport:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter and return its stdout."""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+# Runs one command line through main with stdout captured, then prints the
+# package modules it loaded, each on its own line.
+LOADED_BY_MAIN = """
+import contextlib, io, sys
+import sampspectra.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main({argv!r}) == 0
+print("\\n".join(sorted(m for m in sys.modules if m.startswith("sampspectra."))))
+"""
+
+MOMENTS_P9 = ["moments", "--p", "9", "--d", "1,2,3", "--beta", "0.1,0.4,0.8",
+              "--format", "json"]
+
+
+class TestLazySimulation:
+    SIMULATION = {"sampspectra.field_sim", "sampspectra._linalg",
+                  "sampspectra.marchenko_pastur"}
+
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--p", "9", "--d", "1,2,3", "--beta", "0.1,0.4,0.8"],
+        ["volume", "1,2,1,2"],
+    ])
+    def test_exact_commands_leave_the_simulation_unloaded(self, argv):
+        loaded = set(run_python(LOADED_BY_MAIN.format(argv=argv)).split())
+        assert "sampspectra.moments" in loaded
+        assert not loaded & self.SIMULATION
+
+    def test_mp_lmmse_loads_the_limit_law_only(self):
+        loaded = set(run_python(LOADED_BY_MAIN.format(
+            argv=["mp", "--beta", "0.5", "--snr", "0"])).split())
+        assert "sampspectra.marchenko_pastur" in loaded
+        assert "sampspectra.field_sim" not in loaded
+
+    def test_moments_main_imports_only_the_class_table(self):
+        # The benchmark times main after `import sampspectra.cli`: set-up
+        # loads what `moments` runs, and main adds only the class table,
+        # which volumes.table_rows imports on its first call.
+        out = run_python(
+            "import contextlib, io, sys\n"
+            "import sampspectra.cli as cli\n"
+            "def ours():\n"
+            "    return {m for m in sys.modules if m.startswith('sampspectra.')}\n"
+            "before = ours()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main({MOMENTS_P9!r}) == 0\n"
+            "print(' '.join(sorted(before)))\n"
+            "print(' '.join(sorted(ours() - before)))\n")
+        before, added = out.splitlines()
+        assert before.split() == [
+            "sampspectra.cli", "sampspectra.combinatorics", "sampspectra.errors",
+            "sampspectra.moments", "sampspectra.volumes",
+        ]
+        assert added.split() == ["sampspectra._core_classes"]
+
+    def test_wrappers_set_before_main_are_the_functions_called(self):
+        # perfbench/tracer.py replaces these attributes before the first
+        # simulation command runs; main must call the replacements.
+        argv = ["mse", "--d", "1", "--M", "2", "--beta", "0.4,0.7", "--snr", "0,10",
+                "--trials", "2", "--seed", "3", "--format", "json"]
+        out = run_python(
+            "import contextlib, io, json\n"
+            "import sampspectra.cli as cli\n"
+            "calls = {}\n"
+            "def counting(name):\n"
+            "    fn = getattr(cli, name)\n"
+            "    def wrapper(*args, **kwargs):\n"
+            "        calls[name] = calls.get(name, 0) + 1\n"
+            "        return fn(*args, **kwargs)\n"
+            "    return wrapper\n"
+            "for name in ('collect_spectra', 'empirical_lmmse', 'mp_lmmse'):\n"
+            "    setattr(cli, name, counting(name))\n"
+            "buffer = io.StringIO()\n"
+            "with contextlib.redirect_stdout(buffer):\n"
+            f"    assert cli.main({argv!r}) == 0\n"
+            "print(json.dumps({'calls': calls, 'output': buffer.getvalue()}))\n")
+        traced = json.loads(out)
+        assert traced["calls"] == {"collect_spectra": 2, "empirical_lmmse": 4,
+                                   "mp_lmmse": 4}
+        plain = run_cli(*argv)
+        assert plain.returncode == 0, plain.stderr
+        assert traced["output"] == plain.stdout
