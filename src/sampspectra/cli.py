@@ -75,7 +75,6 @@ def __getattr__(name):
 
 #: Most values an --snr-grid may hold.
 MAX_GRID_VALUES = 10_000
-GRID_HELP = f"start:stop:step in dB, inclusive; at most {MAX_GRID_VALUES} values"
 # Bytes one histogram bin holds at most: its entries in the histogram's
 # float64 arrays, its row of Python floats and its output text. tracemalloc
 # measured about 550 for CSV and 990 for JSON.
@@ -409,6 +408,14 @@ def _add_output_flags(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _add_snr_flags(sub):
+    sub.add_argument("--snr", type=_float_list, default=None,
+                     help="comma list of SNRs in dB; 'inf' for noiseless")
+    sub.add_argument("--snr-grid", type=_snr_grid, default=None,
+                     help=f"start:stop:step in dB, inclusive; at most "
+                          f"{MAX_GRID_VALUES} values")
+
+
 def _add_sim_flags(sub):
     sub.add_argument("--trials", type=int, default=50)
     sub.add_argument("--seed", type=_non_negative_int, default=0)
@@ -443,9 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--d", type=_int_list, required=True, help="comma list")
     sub.add_argument("--M", type=int, required=True)
     sub.add_argument("--beta", type=_float_list, required=True, help="comma list")
-    sub.add_argument("--snr", type=_float_list, default=None,
-                     help="comma list of SNRs in dB; 'inf' for noiseless")
-    sub.add_argument("--snr-grid", type=_snr_grid, default=None, help=GRID_HELP)
+    _add_snr_flags(sub)
     _add_sim_flags(sub)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_mse)
@@ -463,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--beta", type=_float_list, required=True, help="comma list")
     sub.add_argument("--p", type=_positive_int, default=None,
                      help="emit limit moments for orders 1..p")
-    sub.add_argument("--snr", type=_float_list, default=None)
-    sub.add_argument("--snr-grid", type=_snr_grid, default=None, help=GRID_HELP)
+    _add_snr_flags(sub)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_mp)
 

@@ -25,8 +25,10 @@ only on those keys, never on scheduling.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,6 +45,8 @@ _HERMITIAN_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
 _CLAMP_PER_N = 1e-10
 _TRACE_RTOL = 1e-10
+# Largest difference between an entry of G and its value recomputed from X.
+_G_ENTRY_TOL = 1e-12
 # Rows per block of the Hermitian check.
 _ROW_BLOCK = 64
 # Working set of one chunk of sample points in the generating-value sums.
@@ -101,10 +105,10 @@ def frequency_grid(M: int, d: int) -> np.ndarray:
 class SamplingInstance:
     """An irregular sampling configuration: r points in [0,1)^d at order M.
 
-    ``beta`` is the exact ratio N/r of the instance. The simulation entry
-    points (:func:`sample_points`, :func:`instance_for`) enforce beta < 1,
-    i.e. oversampling; degenerate instances for targeted tests can still be
-    constructed directly.
+    ``beta`` is the exact ratio N/r of the instance. :func:`instance_for`,
+    the simulation's one constructor, enforces beta < 1, i.e. oversampling;
+    degenerate instances for targeted tests can still be constructed
+    directly.
     """
 
     d: int
@@ -127,44 +131,33 @@ class FieldRealization:
     p: np.ndarray
 
 
-def _coefficient_count(d: int, M: int) -> int:
-    """N = (2M+1)^d, after checking that d and M are valid."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    if M < 0:
-        raise ValueError(f"M must be non-negative, got {M}")
-    return (2 * M + 1) ** d
+def _check_integer(name, value):
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def trial_sizes(d: int, M: int, beta: float) -> tuple:
     """Validated (N, r) of a trial, with r = round(N / beta) but at least N + 1."""
-    n_coeff = _coefficient_count(d, M)
+    _check_integer("dimension", d)
+    if d < 1:
+        raise ValueError(f"dimension must be positive, got {d}")
+    _check_integer("M", M)
+    if M < 0:
+        raise ValueError(f"M must be non-negative, got {M}")
     if not 0 < beta < 1:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    n_coeff = (2 * M + 1) ** d
     return n_coeff, max(round(n_coeff / beta), n_coeff + 1)
 
 
-def sample_points(r: int, d: int, seed, M: int) -> SamplingInstance:
-    """Draw r uniform sample points in [0,1)^d for bandwidth order M."""
-    n_coeff = _coefficient_count(d, M)
-    if r < 1:
-        raise ValueError(f"number of samples must be positive, got {r}")
-    beta = n_coeff / r
-    if not 0 < beta < 1:
-        raise ValueError(
-            f"r={r} does not oversample N={n_coeff} coefficients (beta={beta})"
-        )
+def instance_for(d: int, M: int, beta: float, seed) -> SamplingInstance:
+    """Draw r uniform points in [0,1)^d, (N, r) from :func:`trial_sizes`; beta = N/r."""
+    n_coeff, r = trial_sizes(d, M, beta)
     X = rng_for(seed).random((r, d))
     # Read-only, so that nothing keyed on the instance (see _normal_system)
     # can go stale.
     X.flags.writeable = False
-    return SamplingInstance(d=d, M=M, r=r, beta=beta, X=X)
-
-
-def instance_for(d: int, M: int, beta: float, seed) -> SamplingInstance:
-    """Instance with r = round(N / beta); the exact beta is recomputed from r."""
-    _, r = trial_sizes(d, M, beta)
-    return sample_points(r, d, seed, M)
+    return SamplingInstance(d=d, M=M, r=r, beta=n_coeff / r, X=X)
 
 
 def _generator_point_bytes(d: int, M: int) -> int:
@@ -235,10 +228,10 @@ def check_trial_budget(d: int, M: int, beta: float, trials: int, threads: int = 
     trial of the (trials, N) array that :func:`collect_spectra` fills.
     Invalid parameters raise ValueError before any work.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if threads < 1:
-        raise ValueError(f"threads must be positive, got {threads}")
+    for name, count in (("trials", trials), ("threads", threads)):
+        _check_integer(name, count)
+        if count < 1:
+            raise ValueError(f"{name} must be positive, got {count}")
     concurrent = min(threads, trials)
     n_coeff, _ = trial_sizes(d, M, beta)
     check_budget(concurrent * estimate_bytes(d, M, beta) + 8 * n_coeff * trials,
@@ -459,7 +452,14 @@ def empirical_lmmse(eigenvalues: np.ndarray, beta: float, alpha: float):
 
 
 def _check_G(instance: SamplingInstance, G) -> int:
-    """N, after checking that G is the instance's real matrix from build_G."""
+    """N, after checking that G is the instance's real matrix from build_G.
+
+    Beyond dtype and shape, the first and last entries of G's first column
+    are recomputed from the first sample point x, so that the matrix of
+    another instance of the same size is refused too. Those rows hold ell =
+    -+(M, ..., M), so the entries are sqrt(2/N) cos(-+theta - pi/4) with
+    theta = 2 pi M sum(x): O(d) work.
+    """
     n_coeff = (2 * instance.M + 1) ** instance.d
     shape = (n_coeff, instance.r)
     if not (isinstance(G, np.ndarray) and G.dtype == np.float64 and G.shape == shape):
@@ -467,6 +467,14 @@ def _check_G(instance: SamplingInstance, G) -> int:
             f"G must be the float64 {shape} matrix from build_G, got "
             f"{getattr(G, 'dtype', type(G).__name__)} {np.shape(G)}"
         )
+    theta = 2 * math.pi * instance.M * sum(instance.X[0].tolist())
+    for row, sign in ((0, -1), (n_coeff - 1, 1)):
+        expected = math.sqrt(2 / n_coeff) * math.cos(sign * theta - math.pi / 4)
+        if not abs(G[row, 0] - expected) <= _G_ENTRY_TOL:  # also for nan
+            raise ValueError(
+                f"G[{row}, 0] = {G[row, 0]} is not {expected}, its value from "
+                f"build_G for this instance's sample points"
+            )
     return n_coeff
 
 
@@ -503,7 +511,7 @@ def _normal_system(instance: SamplingInstance, alpha: float):
     One module-level slot holds the last (instance, alpha), keyed on the
     instance's identity, so draws against a fixed (instance, alpha) build
     and factor A once. The slot keeps its instance alive, so that identity
-    is never reused, and :func:`sample_points` makes X read-only. A miss
+    is never reused, and :func:`instance_for` makes X read-only. A miss
     drops the held pair before building the next, so one pair (16 N^2
     bytes) stays resident at most. A = L L^T is positive definite for
     alpha > 0, and numpy has no triangular solve, so

@@ -91,7 +91,7 @@ def mp_expectation(g, beta: float, tolerance: float = 1e-10) -> float:
     error estimate is their difference, floored at the rounding error of
     the sum.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:  # also for nan
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     c2, c1 = _support(beta)
     span = c1 - c2

@@ -420,6 +420,13 @@ class TestArgparse:
                 main([command, "--help"])
             assert f"at most {MAX_GRID_VALUES} values" in capsys.readouterr().out
 
+    def test_snr_flags_have_one_help_text(self, capsys):
+        for command in ("mse", "mp"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            assert "--snr SNR comma list of SNRs in dB; 'inf' for noiseless" in text
+
     def test_snr_grid_at_the_cap_runs(self, capsys):
         assert main(["mp", "--beta", "0.5", "--snr-grid", "0:9999:1"]) == 0
         _, _, rows = parse_csv(capsys.readouterr().out)

@@ -23,7 +23,6 @@ from sampspectra.field_sim import (
     instance_for,
     reconstruct_field,
     rng_for,
-    sample_points,
     trial_sizes,
 )
 
@@ -93,13 +92,17 @@ class TestInstances:
         with pytest.raises(ValueError):
             instance_for(1, 5, 1.0, 0)
         with pytest.raises(ValueError):
-            sample_points(5, 1, 0, 5)  # r < N: undersampled
+            instance_for(0, 2, 1 / 50, 0)
         with pytest.raises(ValueError):
-            sample_points(0, 1, 0, 2)
-        with pytest.raises(ValueError):
-            sample_points(50, 0, 0, 2)
-        with pytest.raises(ValueError):
-            sample_points(50, 1, 0, -1)
+            instance_for(1, -1, 0.5, 0)
+
+    @pytest.mark.parametrize("d, M", [(1.5, 2), (1, 2.5), (2.0, 1), (1, 2.0)])
+    def test_non_integral_sizes_are_refused(self, d, M):
+        # N = (2M+1)^d and the point array's shape need integers.
+        with pytest.raises(ValueError, match="must be an integer"):
+            trial_sizes(d, M, 0.5)
+        with pytest.raises(ValueError, match="must be an integer"):
+            instance_for(d, M, 0.5, 0)
 
     def test_budget_estimate_grows_with_order(self):
         assert estimate_bytes(1, 20, 0.5) < estimate_bytes(1, 40, 0.5)
@@ -135,7 +138,7 @@ class TestSynthesisMatrix:
         # R = Re T + J Im T: each entry is the real part of the empirical
         # average of one oscillation over the sample points plus the
         # imaginary part of another; T's own diagonal is exactly 1.
-        instance = sample_points(40, 1, 7, 3)
+        instance = instance_for(1, 3, 7 / 40, 7)
         R = build_T(instance)
         x = instance.X[:, 0]
         ell = np.arange(7) - 3
@@ -151,7 +154,7 @@ class TestSynthesisMatrix:
         assert R[3, 3] == 1.0
 
     def test_gram_entries_multidimensional(self):
-        instance = sample_points(60, 2, 11, 1)
+        instance = instance_for(2, 1, 9 / 60, 11)
         R = build_T(instance)
         grid = frequency_grid(1, 2)
 
@@ -545,6 +548,11 @@ class TestCollect:
             collect_spectra(1, 3, 0.5, trials=trials, seed=0, threads=threads)
         assert built == []
 
+    @pytest.mark.parametrize("trials, threads", [(2.5, 1), (2, 1.5), (2.0, 1)])
+    def test_non_integral_counts_are_refused(self, trials, threads):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check_trial_budget(1, 2, 0.5, trials, threads)
+
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", "10000")
         with pytest.raises(CapacityError):
@@ -627,6 +635,23 @@ class TestReconstruction:
                 reconstruct_field(instance, realization, 0.1, G=G)
         assert built == []
 
+    def test_another_instances_matrix_is_refused(self, monkeypatch):
+        # Same shape, other sample points: over 20 draws at alpha = 0.1 that G
+        # would give a mean error near 10, against 0.1 with the instance's own.
+        instance = instance_for(2, 5, 0.5, (1, 0))
+        G = build_G(instance)
+        realization = draw_realization(instance, 0.1, (0, 0), G=G)
+        corrupted = G.copy()
+        corrupted[0, 0] = np.nan
+        built = []
+        monkeypatch.setattr(field_sim, "build_T", lambda *a, **k: built.append(a))
+        for other in (build_G(instance_for(2, 5, 0.5, (2, 0))), corrupted):
+            with pytest.raises(ValueError, match="build_G"):
+                draw_realization(instance, 0.1, (0, 0), G=other)
+            with pytest.raises(ValueError, match="build_G"):
+                reconstruct_field(instance, realization, 0.1, G=other)
+        assert built == []
+
     def test_alpha_must_be_positive(self):
         instance = instance_for(1, 4, 0.5, 0)
         G = build_G(instance)
@@ -699,7 +724,7 @@ class TestNormalSystem:
         assert len(builds) == 2
         assert builds[0] is first and builds[1] is second
 
-    def test_sample_points_are_read_only(self):
+    def test_instance_points_are_read_only(self):
         instance = instance_for(1, 4, 0.5, 34)
         with pytest.raises(ValueError):
             instance.X[0, 0] = 0.5

@@ -86,6 +86,10 @@ class TestExpectation:
         with pytest.raises(ValueError):
             mp_expectation(lambda x: x, 0.5, tolerance=0.0)
 
+    def test_nan_tolerance_is_refused(self):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            mp_expectation(lambda x: x, 0.5, tolerance=float("nan"))
+
     def test_unreachable_tolerance(self):
         with pytest.raises(ConvergenceError) as info:
             mp_expectation(lambda x: x, 0.5, tolerance=1e-16)

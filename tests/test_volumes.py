@@ -153,6 +153,11 @@ class TestZetaCount:
         for labels in [(1,), (1, 2, 1, 2), (1, 2, 3, 1, 2, 3)]:
             assert zeta_count(labels, 0) == 1
 
+    @pytest.mark.parametrize("M", [2.5, 2.0])
+    def test_non_integral_order_is_refused(self, M):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            zeta_count([1, 2, 1, 2], M)
+
     def test_big_count_falls_back_to_exact_objects(self):
         # (2M+1)^p over 2^62 switches the tally to Python integers. The
         # count is a degree-11 polynomial in 2M+1, so interpolating the
@@ -493,6 +498,10 @@ class TestVolumeQuadrature:
         wide = PartitionPath.of([1, 2, 3, 4, 5, 1, 2, 3, 4, 5])
         with pytest.raises(ValueError):
             volume_quadrature(wide, tolerance=1e-3)
+
+    def test_nan_tolerance_is_refused(self):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            volume_quadrature(PartitionPath.of([1, 2, 1, 2]), float("nan"))
 
     def test_grid_over_the_cap_is_refused_before_work(self, monkeypatch):
         # Two half-widths of [1,2,1,2] need 2 * 16 * 4 = 128 points per axis.
