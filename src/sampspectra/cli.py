@@ -33,10 +33,8 @@ import sys
 import numpy as np
 
 from .combinatorics import PartitionPath, reduction_trace
-from .errors import CapacityError, IntegrityError
+from .errors import CapacityError, IntegrityError, check_beta, check_integer
 from .moments import (
-    check_beta,
-    check_d,
     moment_eval,
     moment_expansion,
     moment_limit,
@@ -184,7 +182,7 @@ def _snr_grid(text: str) -> list:
     start, stop, step = (float(p) for p in pieces)
     if not np.isfinite((start, stop, step)).all():
         raise argparse.ArgumentTypeError(
-            f"start, stop and step must be finite, got {text!r}")
+            f"start, stop and step cannot be inf or nan, got {text!r}")
     if step <= 0:
         raise argparse.ArgumentTypeError(f"step must be positive, got {step}")
     # The grid is start + k step for every k = 0, 1, ... up to span.
@@ -230,7 +228,7 @@ def cmd_moments(args):
     # Check d and beta before the expansion (a table read, about 1 ms), so
     # that a bad d or beta exits 2 even when p is past the cap (exit 3).
     for d in args.d:
-        check_d(d)
+        check_integer("dimension", d, 1)
     for beta in args.beta:
         check_beta(beta)
     expansion = moment_expansion(args.p)
@@ -344,8 +342,7 @@ def cmd_mse(args):
 
 def cmd_spectrum(args):
     _load("field_sim", "marchenko_pastur")
-    if args.bins < 1:
-        raise ValueError(f"bins must be positive, got {args.bins}")
+    check_integer("bins", args.bins, 1)
     # Once the trials end, their (trials, N) array is held beside the
     # histogram; both are checked before the first trial.
     check_trial_budget(args.d, args.M, args.beta, args.trials, args.threads,

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Iterator, Sequence, Union
 
+from .errors import check_integer
+
 #: Largest order accepted by ``volume_exact`` and ``moment_expansion``: the
 #: committed core-class table (:mod:`sampspectra._core_classes`) holds every
 #: class of order at most 14. The binomial identity behind
@@ -83,8 +85,7 @@ class PartitionPath:
 
 def iter_partition_paths(p: int) -> Iterator[tuple]:
     """Yield every restricted-growth sequence of length ``p`` in lexicographic order."""
-    if p < 0:
-        raise ValueError(f"order must be non-negative, got {p}")
+    check_integer("order", p, 0)
     if p == 0:
         yield ()
         return
@@ -118,8 +119,7 @@ def stirling2(p: int, k: int) -> int:
 
 def bell(p: int) -> int:
     """Bell number: partitions of {1..p} into any number of blocks."""
-    if p < 0:
-        raise ValueError(f"order must be non-negative, got {p}")
+    check_integer("order", p, 0)
     if p == 0:
         return 1
     return sum(stirling2(p, k) for k in range(1, p + 1))
@@ -145,15 +145,13 @@ def narayana_row(p: int) -> list:
 
 def catalan(p: int) -> int:
     """Catalan number: non-crossing partitions of {1..p}."""
-    if p < 0:
-        raise ValueError(f"order must be non-negative, got {p}")
+    check_integer("order", p, 0)
     return math.comb(2 * p, p) // (p + 1)
 
 
 def _check_pk(p, k):
-    if p < 1:
-        raise ValueError(f"order must be at least 1, got {p}")
-    if not 1 <= k <= p:
+    check_integer("order", p, 1)
+    if not (isinstance(k, Integral) and 1 <= k <= p):
         raise ValueError(f"block count {k} out of range 1..{p}")
 
 
@@ -258,8 +256,7 @@ def iter_cores(e: int) -> Iterator[tuple]:
     previous one, and a branch stops once the blocks that still hold one
     element outnumber the positions left. Order 0 yields the empty path.
     """
-    if e < 0:
-        raise ValueError(f"order must be non-negative, got {e}")
+    check_integer("order", e, 0)
     labels = []
     sizes = [0] * (e + 2)  # sizes[b] = elements placed in block b so far
 

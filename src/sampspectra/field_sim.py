@@ -28,13 +28,12 @@ import functools
 import math
 import os
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._linalg import inverse_cholesky, inverse_cholesky_bytes
-from .errors import CapacityError, IntegrityError
+from .errors import CapacityError, IntegrityError, check_alpha, check_beta, check_integer
 
 #: Default cap on the working set of a single simulation, overridable per
 #: call or through the environment variable SAMPSPECTRA_MAX_MEM (bytes).
@@ -54,8 +53,9 @@ _GENERATOR_CHUNK_BYTES = 16 * 2**20
 
 
 def _seed_key(seed) -> tuple:
-    """The seed as a tuple: an int, or a tuple or list of ints."""
-    return tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
+    """The seed as a tuple of ints: an int, or a tuple or list of ints, none negative."""
+    key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    return tuple(check_integer("seed", s, 0) for s in key)
 
 
 def rng_for(seed, *stream) -> np.random.Generator:
@@ -63,8 +63,9 @@ def rng_for(seed, *stream) -> np.random.Generator:
 
     ``seed`` may be an int or a tuple or list of ints; extra tags extend the
     key so that distinct (seed, tag...) combinations give independent streams.
+    A seed or tag that is not a non-negative integer raises ValueError.
     """
-    entropy = [*_seed_key(seed), *(int(s) for s in stream)]
+    entropy = _seed_key(seed) + _seed_key(stream)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -131,20 +132,11 @@ class FieldRealization:
     p: np.ndarray
 
 
-def _check_integer(name, value):
-    if not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def trial_sizes(d: int, M: int, beta: float) -> tuple:
     """Validated (N, r) of a trial, with r = round(N / beta) but at least N + 1."""
-    _check_integer("dimension", d)
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    _check_integer("M", M)
-    if M < 0:
-        raise ValueError(f"M must be non-negative, got {M}")
-    if not 0 < beta < 1:
+    check_integer("dimension", d, 1)
+    check_integer("M", M, 0)
+    if check_beta(beta) == 1:  # an instance must oversample
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     n_coeff = (2 * M + 1) ** d
     return n_coeff, max(round(n_coeff / beta), n_coeff + 1)
@@ -228,10 +220,8 @@ def check_trial_budget(d: int, M: int, beta: float, trials: int, threads: int = 
     trial of the (trials, N) array that :func:`collect_spectra` fills.
     Invalid parameters raise ValueError before any work.
     """
-    for name, count in (("trials", trials), ("threads", threads)):
-        _check_integer(name, count)
-        if count < 1:
-            raise ValueError(f"{name} must be positive, got {count}")
+    check_integer("trials", trials, 1)
+    check_integer("threads", threads, 1)
     concurrent = min(threads, trials)
     n_coeff, _ = trial_sizes(d, M, beta)
     check_budget(concurrent * estimate_bytes(d, M, beta) + 8 * n_coeff * trials,
@@ -440,8 +430,8 @@ def empirical_lmmse(eigenvalues: np.ndarray, beta: float, alpha: float):
     realization's sampling operator. The mean runs over the last axis, so a
     (trials, N) array gives one value per row and one spectrum a scalar.
     """
-    if not 0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+    check_beta(beta)
+    check_alpha(alpha)
     shift = alpha * beta
     # At alpha = 0 a clamped zero eigenvalue would give 0/0; the error is 0.
     ratio = shift / (eigenvalues + shift) if alpha else np.zeros_like(eigenvalues)
@@ -486,8 +476,7 @@ def draw_realization(instance: SamplingInstance, alpha: float, seed, G) -> Field
     of W* a = e^(i pi/4) (a - i J a) / sqrt(2), read back as r complex
     values. Raises ValueError for any other G.
     """
-    if not 0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+    check_alpha(alpha)
     n_coeff = _check_G(instance, G)
     rng = rng_for(seed)
     a = (rng.standard_normal(n_coeff) + 1j * rng.standard_normal(n_coeff)) / np.sqrt(2)
@@ -563,8 +552,7 @@ def reconstruct_field(instance: SamplingInstance, realization: FieldRealization,
     residual misses the bound; the bound is checked on the y returned.
     Requires a finite alpha > 0 so the normal matrix stays positive definite.
     """
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    check_alpha(alpha, positive=True)
     n_coeff = _check_G(instance, G)
     A, L_inv, A_norm = _normal_system(instance, alpha)
     p = np.ascontiguousarray(realization.p, dtype=complex)

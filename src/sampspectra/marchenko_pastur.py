@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_alpha, check_beta, check_tolerance
 
 #: The closed form may round fractionally outside [0, 1]; anything this far
 #: outside signals corrupted inputs instead.
@@ -28,8 +28,7 @@ _EPS = float(np.finfo(float).eps)
 
 def _support(beta: float) -> tuple:
     """Support edges (c2, c1) = ((1 - sqrt(beta))^2, (1 + sqrt(beta))^2)."""
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    check_beta(beta)
     root = math.sqrt(beta)
     return (1 - root) ** 2, (1 + root) ** 2
 
@@ -38,10 +37,13 @@ def mp_pdf(x, beta: float):
     """Density of the Marchenko-Pastur law, zero outside (c2, c1).
 
     Accepts scalars or arrays. The value at the support edges is 0; for
-    beta = 1 the density is integrable but unbounded near x = 0.
+    beta = 1 the density is integrable but unbounded near x = 0. A NaN
+    point raises ValueError.
     """
     c2, c1 = _support(beta)
     x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("mp_pdf points must be numbers, got nan")
     inside = (x > c2) & (x < c1)
     out = np.zeros_like(x)
     xi = x[inside]
@@ -64,10 +66,8 @@ def mp_lmmse(beta: float, alpha: float) -> float:
     by term, so nothing overflows for any finite alpha (theta^2 itself
     does once alpha passes about 1e154).
     """
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if alpha < 0 or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+    check_beta(beta)
+    check_alpha(alpha)
     if alpha == 0:
         return 0.0
     ab = alpha * beta
@@ -91,8 +91,7 @@ def mp_expectation(g, beta: float, tolerance: float = 1e-10) -> float:
     error estimate is their difference, floored at the rounding error of
     the sum.
     """
-    if not tolerance > 0:  # also for nan
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    check_tolerance(tolerance)
     c2, c1 = _support(beta)
     span = c1 - c2
 

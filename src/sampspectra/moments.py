@@ -28,7 +28,6 @@ against the Stirling numbers.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +39,7 @@ from .combinatorics import (
     narayana_row,
     stirling2,
 )
-from .errors import CapacityError, IntegrityError
+from .errors import CapacityError, IntegrityError, check_beta, check_integer
 from .volumes import table_rows, volume_of  # noqa: F401  volume_of wrapped by perfbench
 
 
@@ -83,8 +82,7 @@ def moment_expansion(p: int) -> MomentExpansion:
     when, for some k, the multiplicities do not sum to the Stirling number
     S(p, k), the count of all paths with k blocks.
     """
-    if p < 1:
-        raise ValueError(f"order must be at least 1, got {p}")
+    check_integer("order", p, 1)
     if p > MAX_ORDER:
         raise CapacityError(
             f"moment order {p} exceeds the configured maximum {MAX_ORDER}"
@@ -119,7 +117,7 @@ def moment_eval(expansion: MomentExpansion, d: int, beta):
     Returns a float, or an exact Fraction when beta is a Fraction: the
     arithmetic then stays in Fractions end to end.
     """
-    check_d(d)
+    check_integer("dimension", d, 1)
     beta = check_beta(beta)
     exact = isinstance(beta, Fraction)
     total = sum(
@@ -140,8 +138,7 @@ def moment_limit(p: int, beta) -> float:
     for a float) turns the powers of 2 into shifts. A moment past the float
     range raises ValueError.
     """
-    if p < 1:
-        raise ValueError(f"order must be at least 1, got {p}")
+    check_integer("order", p, 1)
     beta = check_beta(beta)
     counts = narayana_row(p)
     try:
@@ -170,7 +167,7 @@ def crossing_envelope(p: int, d: int) -> float:
     Crossing paths are the only contributors to the gap; there are
     B(p) - Catalan(p) of them, each with v^d <= (2/3)^d and beta power <= 1.
     """
-    check_d(d)
+    check_integer("dimension", d, 1)
     return float((bell(p) - catalan(p)) * (Fraction(2, 3) ** d))
 
 
@@ -207,22 +204,3 @@ def symbolic_expansion(expansion: MomentExpansion) -> str:
             else:
                 pieces.append(f"({coeff}) {var}")
     return " + ".join(pieces)
-
-
-def check_d(d):
-    """Raise ValueError unless d is a positive integer."""
-    if not isinstance(d, numbers.Integral) or d < 1:
-        raise ValueError(f"dimension must be a positive integer, got {d!r}")
-
-
-def check_beta(beta):
-    """Validated beta in (0, 1]: a Fraction if given one, else a float."""
-    if isinstance(beta, Fraction):
-        value = beta
-    elif isinstance(beta, numbers.Real):
-        value = float(beta)
-    else:
-        raise ValueError(f"beta must be a real number, got {beta!r}")
-    if not 0 < value <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    return value

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,6 +39,7 @@ from .combinatorics import (
     transition_multigraph,
 )
 from .errors import CapacityError, ConvergenceError, IntegrityError
+from .errors import check_integer, check_tolerance
 
 
 # --- exact lattice counting -------------------------------------------------
@@ -61,10 +61,7 @@ def zeta_count(path: PathLike, M: int) -> int:
     (2M+1)^p box is never touched.
     """
     path = PartitionPath.of(path)
-    if not isinstance(M, Integral):
-        raise ValueError(f"M must be an integer, got {M!r}")
-    if M < 0:
-        raise ValueError(f"M must be non-negative, got {M}")
+    check_integer("M", M, 0)
     dtype = object if (2 * M + 1) ** path.p >= 2**62 else np.int64
     edges = transition_multigraph(path.labels)
     left = Counter()  # edge variables still to come at each block
@@ -239,8 +236,7 @@ def volume_quadrature(path: PathLike, tolerance: float) -> float:
     extrapolated values agree within ``tolerance`` or the grid would pass
     the cap. Only k - 1 <= 3 is supported.
     """
-    if not tolerance > 0:  # also for nan
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    check_tolerance(tolerance)
     path = PartitionPath.of(path)
     if path.p == 0:
         raise ValueError("quadrature needs a non-empty path")

@@ -72,6 +72,17 @@ class TestRng:
     def test_tuple_seed_extends_entropy(self):
         assert np.array_equal(rng_for((5, 3)).random(3), rng_for(5, 3).random(3))
 
+    @pytest.mark.parametrize("call", [
+        lambda: instance_for(1, 2, 0.5, 1.5),
+        lambda: rng_for(1.5),
+        lambda: rng_for(1, 2.5),
+        lambda: rng_for((1, 2.5)),
+    ], ids=["instance_for", "rng_for seed", "rng_for tag", "rng_for tuple"])
+    def test_non_integral_seed_or_tag_is_refused(self, call):
+        # int() would truncate them to the stream of 1 or (1, 2).
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            call()
+
 
 class TestInstances:
     def test_point_count_from_ratio(self):
@@ -351,6 +362,11 @@ class TestSpectra:
         for alpha in (-0.5, np.nan, np.inf):
             with pytest.raises(ValueError):
                 empirical_lmmse(lam, beta, alpha)
+
+    @pytest.mark.parametrize("beta", [2.0, np.nan, 0.0])
+    def test_spectral_error_form_checks_the_ratio(self, beta):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            empirical_lmmse(np.ones(3), beta, 0.1)
 
     def test_spectral_error_form_is_row_wise(self):
         # One value per row of a (trials, N) array, equal as floats to each
@@ -897,6 +913,19 @@ class TestNormalSystem:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_import_leaves_fractions_decimal_and_scipy_unloaded(self):
+        # The import set that the reconstruction benchmark's set-up time and
+        # peak memory measure: the argument checks must not pull in fractions.
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\n"
+             "import sampspectra.field_sim\n"
+             "print(sorted({'fractions', 'decimal', 'scipy'} & set(sys.modules)))"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestRealizationContainer:

@@ -35,6 +35,11 @@ class TestDensity:
             assert mp_pdf(x, 0.5) == 0.0
         assert mp_pdf((c1 + c2) / 2, 0.5) > 0
 
+    @pytest.mark.parametrize("x", [math.nan, [1.0, math.nan]])
+    def test_nan_point_is_refused(self, x):
+        with pytest.raises(ValueError, match="nan"):
+            mp_pdf(x, 0.5)
+
     def test_square_case_closed_form(self):
         # At beta = 1 and x = 1 the density is sqrt(3)/(2 pi).
         assert mp_pdf(1.0, 1.0) == pytest.approx(

@@ -6,6 +6,8 @@ import pytest
 
 from sampspectra.combinatorics import (
     MAX_ORDER,
+    bell,
+    catalan,
     iter_cores,
     iter_partition_paths,
     multigraph_class,
@@ -215,3 +217,22 @@ class TestSymbolicForm:
         assert "(490 + 448*(2/3)^d + 112*(1/2)^d) b^3" in text
         assert text.startswith("b^7 + ")
         assert text.endswith("+ 28 b + 1")
+
+
+class TestOrderRule:
+    # Every function of an order p shares one rule: an integer, at least 1
+    # (at least 0 where the empty partition counts).
+    @pytest.mark.parametrize("call", [
+        lambda: moment_expansion(2.5),
+        lambda: moment_limit(2.5, 0.5),
+        lambda: stirling2(2.5, 2),
+        lambda: narayana(2.5, 1),
+        lambda: bell(2.5),
+        lambda: catalan(2.5),
+        lambda: list(iter_partition_paths(2.5)),
+        lambda: list(iter_cores(2.5)),
+    ], ids=["moment_expansion", "moment_limit", "stirling2", "narayana", "bell",
+            "catalan", "iter_partition_paths", "iter_cores"])
+    def test_non_integral_order_is_refused(self, call):
+        with pytest.raises(ValueError, match="order must be an integer, got 2.5"):
+            call()
