@@ -161,20 +161,6 @@ def _nonempty(values: list) -> list:
     return values
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
-
-
 def _snr_grid(text: str) -> list:
     pieces = text.split(":")
     if len(pieces) != 3:
@@ -304,7 +290,9 @@ def cmd_volume(args):
 def cmd_mse(args):
     _load("field_sim", "marchenko_pastur")
     snrs = _resolve_snrs(args)
-    # Reject any over-budget combination before the first trial runs.
+    # Reject a bad seed and any over-budget combination before the first
+    # trial runs.
+    check_integer("seed", args.seed, 0)
     for d in args.d:
         for beta in args.beta:
             check_trial_budget(d, args.M, beta, args.trials, args.threads,
@@ -342,11 +330,12 @@ def cmd_mse(args):
 
 def cmd_spectrum(args):
     _load("field_sim", "marchenko_pastur")
+    # Every flag is checked before the histogram's budget, which comes
+    # before the first trial; collect_spectra checks the trials' budget.
     check_integer("bins", args.bins, 1)
-    # Once the trials end, their (trials, N) array is held beside the
-    # histogram; both are checked before the first trial.
-    check_trial_budget(args.d, args.M, args.beta, args.trials, args.threads,
-                       args.max_mem)
+    check_integer("trials", args.trials, 1)
+    check_integer("threads", args.threads, 1)
+    check_integer("seed", args.seed, 0)
     n_coeff, r = trial_sizes(args.d, args.M, args.beta)
     check_budget(8 * n_coeff * args.trials + BIN_BYTES * args.bins, args.max_mem,
                  f"a histogram of {args.trials} trial(s) in {args.bins} bins")
@@ -377,7 +366,8 @@ def cmd_mp(args):
         raise ValueError("give exactly one of --p (limit moments) or an SNR grid (LMMSE)")
     config = {"command": "mp", "beta": args.beta, "format": args.format}
     if wants_moments:
-        config["p"] = args.p
+        # range(1, p + 1) would give a p below 1 an empty table.
+        config["p"] = check_integer("order", args.p, 1)
         columns = ("beta", "p", "moment_mp")
         rows = [
             (float(beta), p, moment_limit(p, beta))
@@ -415,10 +405,10 @@ def _add_snr_flags(sub):
 
 def _add_sim_flags(sub):
     sub.add_argument("--trials", type=int, default=50)
-    sub.add_argument("--seed", type=_non_negative_int, default=0)
-    sub.add_argument("--threads", type=_positive_int, default=1,
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--threads", type=int, default=1,
                      help="trial-level worker threads; never affects the output")
-    sub.add_argument("--max-mem", type=_positive_int, default=None,
+    sub.add_argument("--max-mem", type=int, default=None,
                      help="memory budget in bytes (default 2 GiB or "
                           "SAMPSPECTRA_MAX_MEM)")
 
@@ -463,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("mp", help="closed-form MP moments or LMMSE error")
     sub.add_argument("--beta", type=_float_list, required=True, help="comma list")
-    sub.add_argument("--p", type=_positive_int, default=None,
+    sub.add_argument("--p", type=int, default=None,
                      help="emit limit moments for orders 1..p")
     _add_snr_flags(sub)
     _add_output_flags(sub)

@@ -28,6 +28,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -71,7 +72,7 @@ def rng_for(seed, *stream) -> np.random.Generator:
 
 def _resolve_budget(max_bytes):
     if max_bytes is not None:
-        return int(max_bytes)
+        return check_integer("max_bytes", max_bytes, 1)
     env = os.environ.get(MEMORY_ENV_VAR)
     if not env:
         return DEFAULT_MEMORY_BUDGET
@@ -136,8 +137,10 @@ def trial_sizes(d: int, M: int, beta: float) -> tuple:
     """Validated (N, r) of a trial, with r = round(N / beta) but at least N + 1."""
     check_integer("dimension", d, 1)
     check_integer("M", M, 0)
-    if check_beta(beta) == 1:  # an instance must oversample
+    # An instance must oversample, so beta = 1 is refused too.
+    if isinstance(beta, Real) and not 0 < beta < 1:  # also for nan
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    check_beta(beta)  # refuses a beta that is not a real number
     n_coeff = (2 * M + 1) ** d
     return n_coeff, max(round(n_coeff / beta), n_coeff + 1)
 
@@ -202,7 +205,11 @@ def estimate_bytes(d: int, M: int, beta: float) -> int:
 
 
 def check_budget(required, max_bytes, what):
-    """Raise CapacityError if ``what`` needs more than the budget's bytes."""
+    """Raise CapacityError if ``what`` needs more than the budget's bytes.
+
+    The budget is ``max_bytes``, a positive integer, if given; an unusable
+    budget raises ValueError first.
+    """
     budget = _resolve_budget(max_bytes)
     if required > budget:
         raise CapacityError(
@@ -588,9 +595,9 @@ def collect_spectra(d: int, M: int, beta: float, trials: int, seed,
     uses the stream key (seed, t), so the array is a pure function of the
     arguments; the thread count only affects wall time.
     """
+    base = _seed_key(seed)
     check_trial_budget(d, M, beta, trials, threads, max_bytes)
     n_coeff, _ = trial_sizes(d, M, beta)
-    base = _seed_key(seed)
     spectra = np.empty((trials, n_coeff))
 
     def one(trial):

@@ -536,11 +536,13 @@ class TestArgparse:
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_nonpositive_threads_exit_two(self, threads, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["spectrum", "--d", "1", "--M", "4", "--beta", "0.5",
-                  "--threads", threads])
-        assert info.value.code == 2
-        assert capsys.readouterr().out == ""
+        # d = 2, M = 3000 is past the budget (N = 6001^2): still exit 2, not 3.
+        for d, M in (("1", "4"), ("2", "3000")):
+            assert main(["spectrum", "--d", d, "--M", M, "--beta", "0.5",
+                         "--threads", threads]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: threads must be positive, got {threads}\n"
 
     def test_negative_order_is_named(self, capsys):
         assert main(["spectrum", "--d", "1", "--M", "-1", "--beta", "0.5"]) == 2
@@ -556,14 +558,30 @@ class TestArgparse:
           "--max-mem", "0"], "--max-mem"),
         (["spectrum", "--d", "1", "--M", "2", "--beta", "0.5", "--max-mem", "-5"],
          "--max-mem"),
+        # Past the budget the flag is still the error: exit 2, not 3.
+        (["mse", "--d", "2", "--M", "3000", "--beta", "0.5", "--snr", "10",
+          "--seed", "-1"], "--seed"),
+        (["spectrum", "--d", "2", "--M", "3000", "--beta", "0.5", "--seed", "-1"],
+         "--seed"),
+        (["spectrum", "--d", "1", "--M", "2", "--beta", "0.5", "--trials", "0",
+          "--bins", "10000000"], "--trials"),
     ])
     def test_unusable_integer_flag_is_named(self, argv, flag, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        assert info.value.code == 2
+        name = {"--p": "order", "--seed": "seed", "--max-mem": "max_bytes",
+                "--trials": "trials"}[flag]
+        value = argv[argv.index(flag) + 1]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {flag}" in captured.err
+        kind = "non-negative" if flag == "--seed" else "positive"
+        assert captured.err == f"error: {name} must be {kind}, got {value}\n"
+
+    @pytest.mark.parametrize("beta", ["2", "0", "nan", "1"])
+    def test_simulation_beta_refusal_names_its_bound(self, beta, capsys):
+        assert main(["mse", "--d", "1", "--M", "2", "--beta", beta, "--snr", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: beta must lie in (0, 1), got {float(beta)}\n"
 
     @pytest.mark.parametrize("budget", ["0", "-5", "abc"])
     def test_unusable_memory_variable_is_named(self, budget, monkeypatch, capsys):

@@ -115,6 +115,18 @@ class TestInstances:
         with pytest.raises(ValueError, match="must be an integer"):
             instance_for(d, M, 0.5, 0)
 
+    @pytest.mark.parametrize("beta, message", [
+        (2.0, "beta must lie in (0, 1), got 2.0"),
+        (0.0, "beta must lie in (0, 1), got 0.0"),
+        (float("nan"), "beta must lie in (0, 1), got nan"),
+        (1.0, "beta must lie in (0, 1), got 1.0"),
+        ("x", "beta must be a real number, got 'x'"),
+    ])
+    def test_ratio_refusal_names_the_open_bound(self, beta, message):
+        with pytest.raises(ValueError) as info:
+            trial_sizes(1, 2, beta)
+        assert str(info.value) == message
+
     def test_budget_estimate_grows_with_order(self):
         assert estimate_bytes(1, 20, 0.5) < estimate_bytes(1, 40, 0.5)
         assert estimate_bytes(2, 3, 0.5) < estimate_bytes(3, 3, 0.5)
@@ -568,6 +580,16 @@ class TestCollect:
     def test_non_integral_counts_are_refused(self, trials, threads):
         with pytest.raises(ValueError, match="must be an integer"):
             check_trial_budget(1, 2, 0.5, trials, threads)
+
+    @pytest.mark.parametrize("max_bytes", [1.5, 0, -5])
+    def test_unusable_budget_fails_before_work(self, max_bytes, monkeypatch):
+        built = []
+        monkeypatch.setattr(field_sim, "instance_for", lambda *a: built.append(a))
+        with pytest.raises(ValueError, match="max_bytes must be"):
+            field_sim.check_budget(10, max_bytes, "x")
+        with pytest.raises(ValueError, match="max_bytes must be"):
+            collect_spectra(1, 2, 0.5, trials=1, seed=0, max_bytes=max_bytes)
+        assert built == []
 
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("SAMPSPECTRA_MAX_MEM", "10000")
