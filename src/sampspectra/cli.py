@@ -148,45 +148,39 @@ def _join_list_values(argv: list) -> list:
 
 
 def _int_list(text: str) -> list:
-    return _nonempty([int(part) for part in text.split(",") if part != ""])
+    return [int(part) for part in text.split(",") if part != ""]
 
 
 def _float_list(text: str) -> list:
-    return _nonempty([float(part) for part in text.split(",") if part != ""])
-
-
-def _nonempty(values: list) -> list:
-    if not values:
-        raise argparse.ArgumentTypeError("expected a comma list with at least one value")
-    return values
+    return [float(part) for part in text.split(",") if part != ""]
 
 
 def _snr_grid(text: str) -> list:
-    pieces = text.split(":")
-    if len(pieces) != 3:
-        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in pieces)
+    try:
+        start, stop, step = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--snr-grid: expected start:stop:step, got {text!r}") from None
     if not np.isfinite((start, stop, step)).all():
-        raise argparse.ArgumentTypeError(
-            f"start, stop and step cannot be inf or nan, got {text!r}")
+        raise ValueError(
+            f"--snr-grid: start, stop and step cannot be inf or nan, got {text!r}")
     if step <= 0:
-        raise argparse.ArgumentTypeError(f"step must be positive, got {step}")
+        raise ValueError(f"--snr-grid: step must be positive, got {step}")
     # The grid is start + k step for every k = 0, 1, ... up to span.
     span = (stop + 1e-9 - start) / step
     if span < 0:
-        raise argparse.ArgumentTypeError(f"start:stop:step {text!r} holds no value")
+        raise ValueError(f"--snr-grid: start:stop:step {text!r} holds no value")
     if span >= MAX_GRID_VALUES:
-        raise argparse.ArgumentTypeError(
-            f"start:stop:step {text!r} holds more than {MAX_GRID_VALUES} values")
+        raise ValueError(
+            f"--snr-grid: start:stop:step {text!r} holds more than {MAX_GRID_VALUES} values")
     return [start + k * step for k in range(math.floor(span) + 1)]
 
 
 def _resolve_snrs(args) -> list:
     if args.snr is not None and args.snr_grid is not None:
         raise ValueError("give either --snr or --snr-grid, not both")
-    snrs = args.snr if args.snr is not None else args.snr_grid
-    if snrs is None:
+    if args.snr is None and args.snr_grid is None:
         raise ValueError("an SNR grid is required (--snr or --snr-grid)")
+    snrs = args.snr if args.snr is not None else _snr_grid(args.snr_grid)
     for snr_db in snrs:
         if not snr_db > -np.inf:  # also false for nan
             raise ValueError(f"SNR must be a number of dB or inf, got {snr_db}")
@@ -290,13 +284,14 @@ def cmd_volume(args):
 def cmd_mse(args):
     _load("field_sim", "marchenko_pastur")
     snrs = _resolve_snrs(args)
-    # Reject a bad seed and any over-budget combination before the first
-    # trial runs.
+    # Reject a bad seed, d or beta, then any over-budget combination,
+    # before the first trial runs.
     check_integer("seed", args.seed, 0)
-    for d in args.d:
-        for beta in args.beta:
-            check_trial_budget(d, args.M, beta, args.trials, args.threads,
-                               args.max_mem)
+    pairs = [(d, beta) for d in args.d for beta in args.beta]
+    for d, beta in pairs:
+        trial_sizes(d, args.M, beta)
+    for d, beta in pairs:
+        check_trial_budget(d, args.M, beta, args.trials, args.threads, args.max_mem)
     config = {
         "command": "mse", "d": args.d, "M": args.M, "beta": args.beta,
         "snr_db": snrs, "trials": args.trials, "seed": args.seed,
@@ -398,7 +393,7 @@ def _add_output_flags(sub):
 def _add_snr_flags(sub):
     sub.add_argument("--snr", type=_float_list, default=None,
                      help="comma list of SNRs in dB; 'inf' for noiseless")
-    sub.add_argument("--snr-grid", type=_snr_grid, default=None,
+    sub.add_argument("--snr-grid", default=None,
                      help=f"start:stop:step in dB, inclusive; at most "
                           f"{MAX_GRID_VALUES} values")
 
@@ -466,6 +461,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(_join_list_values(argv))
     try:
+        for flag in ("d", "beta", "snr"):  # argparse reads an empty comma list as []
+            if getattr(args, flag, None) == []:
+                raise ValueError(f"--{flag}: expected a comma list with at least one value")
         args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from sampspectra.marchenko_pastur import mp_lmmse
 from sampspectra.moments import moment_limit
 
 CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -42,6 +44,14 @@ def parse_csv(text):
         elif line:
             rows.append(line.split(","))
     return comments, rows[0], rows[1:]
+
+
+def assert_error_line(code, capsys, message):
+    """The run exited 2, printed nothing and wrote one line, ``error: message``."""
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 class TestMoments:
@@ -86,11 +96,7 @@ class TestMoments:
             raise AssertionError("moment_expansion ran before validation")
 
         monkeypatch.setattr(sampspectra.cli, "moment_expansion", expansion_not_allowed)
-        try:
-            code = main(["moments", "--p", "9", "--d", d, "--beta", beta])
-        except SystemExit as exc:  # argparse rejects the empty list
-            code = exc.code
-        assert code == 2
+        assert main(["moments", "--p", "9", "--d", d, "--beta", beta]) == 2
         assert capsys.readouterr().out == ""
 
 
@@ -382,21 +388,18 @@ class TestArgparse:
             main(["frobnicate"])
         assert info.value.code == 2
 
-    def test_malformed_grid_exits_two(self):
-        with pytest.raises(SystemExit) as info:
-            main(["mse", "--d", "1", "--M", "4", "--beta", "0.5",
-                  "--snr-grid", "0:30"])
-        assert info.value.code == 2
+    def test_malformed_grid_exits_two(self, capsys):
+        code = main(["mse", "--d", "1", "--M", "4", "--beta", "0.5",
+                     "--snr-grid", "0:30"])
+        assert_error_line(code, capsys, "--snr-grid: expected start:stop:step, got '0:30'")
 
     @pytest.mark.parametrize("command", [
         ["mse", "--d", "1", "--M", "4", "--beta", "0.5"],
         ["mp", "--beta", "0.5"],
     ])
     def test_empty_snr_grid_exits_two(self, command, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(command + ["--snr-grid", "30:0:5"])
-        assert info.value.code == 2
-        assert capsys.readouterr().out == ""
+        assert_error_line(main(command + ["--snr-grid", "30:0:5"]), capsys,
+                          "--snr-grid: start:stop:step '30:0:5' holds no value")
 
     @pytest.mark.parametrize("command", [
         ["mse", "--d", "1", "--M", "4", "--beta", "0.5"],
@@ -436,18 +439,33 @@ class TestArgparse:
         "0:inf:5", "-inf:0:5", "nan:0:5", "0:30:nan", "0:30:inf",
     ])
     def test_non_finite_snr_grid_exits_two(self, grid, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["mp", "--beta", "0.5", f"--snr-grid={grid}"])
-        assert info.value.code == 2
-        assert capsys.readouterr().out == ""
+        assert_error_line(
+            main(["mp", "--beta", "0.5", f"--snr-grid={grid}"]), capsys,
+            f"--snr-grid: start, stop and step cannot be inf or nan, got '{grid}'")
 
     @pytest.mark.parametrize("snr", [",", "10, ,20"])
     def test_malformed_snr_list_exits_two(self, snr, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--trials", "1",
-                  "--snr", snr])
+        argv = ["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--trials", "1",
+                "--snr", snr]
+        if snr == ",":  # read as an empty list: the command's error
+            assert_error_line(main(argv), capsys,
+                              "--snr: expected a comma list with at least one value")
+            return
+        with pytest.raises(SystemExit) as info:  # not numbers: argparse's error
+            main(argv)
         assert info.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        # Past the order cap (exit 3) the empty list is still the error.
+        (["moments", "--p", str(MAX_ORDER + 1), "--d", ",", "--beta", "0.5"], "--d"),
+        (["mp", "--beta", ",", "--p", "3"], "--beta"),
+        # Past the budget (exit 3) too.
+        (["mse", "--d", ",", "--M", "3000", "--beta", "0.5", "--snr", "10"], "--d"),
+    ])
+    def test_empty_comma_list_exits_two(self, argv, flag, capsys):
+        assert_error_line(main(argv), capsys,
+                          f"{flag}: expected a comma list with at least one value")
 
     @pytest.mark.parametrize("command", [
         ["mse", "--d", "1", "--M", "2", "--beta", "0.5", "--trials", "1"],
@@ -576,6 +594,15 @@ class TestArgparse:
         kind = "non-negative" if flag == "--seed" else "positive"
         assert captured.err == f"error: {name} must be {kind}, got {value}\n"
 
+    @pytest.mark.parametrize("d, beta, message", [
+        ("2", "0.5,2", "beta must lie in (0, 1), got 2.0"),
+        ("2,0", "0.5", "dimension must be positive, got 0"),
+    ])
+    def test_every_pair_is_checked_before_any_budget(self, d, beta, message, capsys):
+        # The first pair, d = 2 at M = 3000, is past the budget: still exit 2.
+        assert_error_line(main(["mse", "--d", d, "--M", "3000", "--beta", beta,
+                                "--snr", "10"]), capsys, message)
+
     @pytest.mark.parametrize("beta", ["2", "0", "nan", "1"])
     def test_simulation_beta_refusal_names_its_bound(self, beta, capsys):
         assert main(["mse", "--d", "1", "--M", "2", "--beta", beta, "--snr", "10"]) == 2
@@ -591,6 +618,25 @@ class TestArgparse:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "SAMPSPECTRA_MAX_MEM" in captured.err
+
+
+class TestReadme:
+    def test_command_line_examples_run(self, tmp_path, capsys):
+        # Every sampspectra line of the "Command line" block, with its
+        # continuation lines, writing its --out file into tmp_path.
+        section = README.read_text().split("## Command line", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = []
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("sampspectra "):
+                argv = shlex.split(line)[1:]
+                if "--out" in argv:
+                    at = argv.index("--out") + 1
+                    argv[at] = str(tmp_path / argv[at])
+                assert main(argv) == 0, (line, capsys.readouterr().err)
+                commands.append(argv[0])
+        assert set(commands) == {"moments", "volume", "mse", "spectrum", "mp"}
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["hist.csv", "mse.csv"]
 
 
 class TestDeterminism:
